@@ -15,10 +15,12 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
+from typing import Iterable
 
 from . import __version__
 from .diagram import (
+    CensusRow,
     analogous_two_safe_primes,
     brute_census,
     census,
@@ -35,14 +37,8 @@ from .generator import (
     orbit,
     predict_orbit,
 )
-from .ivsets import KIND_SPLIT, build_iv_set, in_iv_set, param_fibers
-from .lcp import (
-    BOUND_SLACK,
-    bound_dickson,
-    bound_quadratic,
-    bound_sqrt,
-    profile_for_seed,
-)
+from .ivsets import KIND_SPLIT, build_iv_set, in_iv_set, param_fibers, param_kind
+from .lcp import bound_dickson, bound_quadratic, bound_sqrt, profile_for_seed, verify_profile_bounds
 from .numtheory import is_prime, primes_in_range
 
 EXIT_OK = 0
@@ -90,6 +86,14 @@ def _json_dump(obj: object) -> list[str]:
     return [json.dumps(obj, indent=2, sort_keys=True)]
 
 
+def _table(command: str, pairs: list[tuple[str, object]], header: list[str], rows: Iterable) -> list[str]:
+    """CSV output: metadata lines, the header row, then one line per row.
+
+    O(p) tables pass rows as a generator, so no row outlives its line.
+    """
+    return _meta(command, pairs) + [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
+
+
 def cmd_orbit(args: argparse.Namespace) -> int:
     kind = {"logistic": KIND_LOGISTIC, "dickson2": KIND_DICKSON, "logistic-general": KIND_LOGISTIC_GENERAL}[args.kind]
     spec = GeneratorSpec(kind=kind, p=args.p, seed=args.seed, mu=args.mu)
@@ -126,20 +130,12 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         )
     if args.format == "json":
         lines = _json_dump(payload)
-    elif args.format == "csv":
-        keys = list(payload)
-        row = [
-            " ".join(map(str, payload[k])) if isinstance(payload[k], list) else _fmt(payload[k])
-            for k in keys
-        ]
-        lines = _meta("orbit", []) + [",".join(keys), ",".join(row)]
     else:
-        lines = []
-        for key, value in payload.items():
-            if isinstance(value, list):
-                lines.append(f"{key}: {' '.join(map(str, value))}")
-            else:
-                lines.append(f"{key}: {value}")
+        cells = {k: " ".join(map(str, v)) if isinstance(v, list) else _fmt(v) for k, v in payload.items()}
+        if args.format == "csv":
+            lines = _table("orbit", [], list(cells), [cells.values()])
+        else:
+            lines = [f"{key}: {value}" for key, value in cells.items()]
     _emit(lines, args.out)
     return EXIT_OK if matched else EXIT_MISMATCH
 
@@ -149,41 +145,30 @@ def cmd_ivset(args: argparse.Namespace) -> int:
     if args.format == "json":
         lines = _json_dump({"p": iv.p, "kind": iv.kind, "elements": iv.elements})
     else:
-        meta = _meta("ivset", [("p", iv.p), ("kind", iv.kind), ("size", len(iv.elements))])
+        pairs: list[tuple[str, object]] = [("p", iv.p), ("kind", iv.kind), ("size", len(iv.elements))]
         if not iv.elements:
-            meta.append("# note: initial-value set is empty")
-        lines = meta + ["element"] + [str(a) for a in iv.elements]
+            pairs.append(("note", "initial-value set is empty"))
+        lines = _table("ivset", pairs, ["element"], ((a,) for a in iv.elements))
     _emit(lines, args.out)
     return EXIT_OK
 
 
 def cmd_fibers(args: argparse.Namespace) -> int:
+    kind = param_kind(args.p)
     fibers = param_fibers(args.p)
-    iv = build_iv_set(args.p)
-    split = iv.kind == KIND_SPLIT
-    pairs: list[tuple[str, object]] = [("p", args.p), ("kind", iv.kind)]
-    if not split:
-        ns = next(iter(fibers.values()))[0].ctx.non_residue
-        pairs.append(("extension", f"x^2 - {ns}"))
+    split = kind == KIND_SPLIT
     if args.format == "json":
-        if split:
-            data = {str(a): fiber for a, fiber in fibers.items()}
-        else:
-            data = {str(a): [[t.c0, t.c1] for t in fiber] for a, fiber in fibers.items()}
-        lines = _json_dump({"p": args.p, "kind": iv.kind, "fibers": data})
+        data = {str(a): fiber if split else [[t.c0, t.c1] for t in fiber] for a, fiber in fibers.items()}
+        lines = _json_dump({"p": args.p, "kind": kind, "fibers": data})
+    elif split:
+        rows = ((a, *fiber) for a, fiber in fibers.items())
+        lines = _table("fibers", [("p", args.p), ("kind", kind)], ["element", "t1", "t2", "t3", "t4"], rows)
     else:
-        lines = _meta("fibers", pairs)
-        if split:
-            lines.append("element,t1,t2,t3,t4")
-            for a, fiber in fibers.items():
-                lines.append(",".join(map(str, [a, *fiber])))
-        else:
-            lines.append("element," + ",".join(f"t{i}_c0,t{i}_c1" for i in range(1, 5)))
-            for a, fiber in fibers.items():
-                cells = [str(a)]
-                for t in fiber:
-                    cells.extend((str(t.c0), str(t.c1)))
-                lines.append(",".join(cells))
+        ns = next(iter(fibers.values()))[0].ctx.non_residue
+        pairs = [("p", args.p), ("kind", kind), ("extension", f"x^2 - {ns}")]
+        header = ["element"] + [f"t{i}_c{j}" for i in range(1, 5) for j in (0, 1)]
+        rows = ((a, *(c for t in fiber for c in (t.c0, t.c1))) for a, fiber in fibers.items())
+        lines = _table("fibers", pairs, header, rows)
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -196,17 +181,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         payload: dict[str, object] = {
             "p": result.p,
             "modulus": result.modulus,
-            "rows": [
-                {
-                    "divisor": r.divisor,
-                    "order_of_2": r.order_of_2,
-                    "totient": r.totient,
-                    "cycles": r.cycles,
-                    "period": r.period,
-                    "minus_one_reachable": r.minus_one_reachable,
-                }
-                for r in result.rows
-            ],
+            "rows": [asdict(r) for r in result.rows],
         }
         if brute is not None:
             payload["brute"] = {str(k): v for k, v in sorted(brute.items())}
@@ -218,17 +193,9 @@ def cmd_census(args: argparse.Namespace) -> int:
             observed = " ".join(f"{period}x{count}" for period, count in sorted(brute.items()))
             pairs.append(("brute", observed))
             pairs.append(("brute_match", str(match).lower()))
-        lines = _meta("census", pairs)
-        lines.append("divisor,order_of_2,totient,cycles,period,minus_one_reachable")
-        for r in result.rows:
-            lines.append(
-                ",".join(
-                    map(
-                        str,
-                        (r.divisor, r.order_of_2, r.totient, r.cycles, r.period, str(r.minus_one_reachable).lower()),
-                    )
-                )
-            )
+        header = [f.name for f in fields(CensusRow)]
+        rows = [[*astuple(r)[:-1], str(r.minus_one_reachable).lower()] for r in result.rows]
+        lines = _table("census", pairs, header, rows)
     _emit(lines, args.out)
     return EXIT_OK if match else EXIT_MISMATCH
 
@@ -238,9 +205,8 @@ def cmd_safeprimes(args: argparse.Namespace) -> int:
     if args.format == "json":
         lines = _json_dump({"limit": args.limit, "analogous": args.analogous, "primes": values})
     elif args.format == "csv":
-        lines = _meta("safeprimes", [("limit", args.limit), ("analogous", args.analogous)])
-        lines.append("p")
-        lines.extend(str(p) for p in values)
+        pairs = [("limit", args.limit), ("analogous", args.analogous)]
+        lines = _table("safeprimes", pairs, ["p"], [[p] for p in values])
     else:
         lines = [str(p) for p in values]
     _emit(lines, args.out)
@@ -261,7 +227,6 @@ def cmd_lcp(args: argparse.Namespace) -> int:
     t = prof.period
     m = cycle_modulus(p)
     l_s = prof.linear_complexity
-    violated = False
     pairs: list[tuple[str, object]] = [
         ("p", p),
         ("seed", seed),
@@ -269,35 +234,31 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         ("modulus", m),
         ("linear_complexity", l_s),
     ]
-    rows = []
-    for n, length in enumerate(prof.profile, start=1):
-        row: dict[str, object] = {"N": n, "L": length}
-        if args.bounds:
-            quad = bound_quadratic(n, t, m)
-            sqr = bound_sqrt(n, l_s)
-            dick = bound_dickson(n, t, p)
-            if length < quad - BOUND_SLACK or length < sqr - BOUND_SLACK:
-                violated = True
-            row["bound_quadratic"] = max(0.0, quad)
-            row["bound_sqrt"] = max(0.0, sqr)
-            row["bound_dickson"] = max(0.0, dick)
-        rows.append(row)
+    header = ["N", "L"]
+    rows = [[n, length] for n, length in enumerate(prof.profile, start=1)]
+    holds = True
     if args.bounds:
+        holds = verify_profile_bounds(p, seed, args.n_max).holds
+        header += ["bound_quadratic", "bound_sqrt", "bound_dickson"]
+        for n, row in enumerate(rows, start=1):
+            row +=[max(0.0, bound_quadratic(n, t, m)), max(0.0, bound_sqrt(n, l_s)), max(0.0, bound_dickson(n, t, p))]
         pairs.append(("clamping", "negative bound values are printed as 0"))
-        pairs.append(("bounds_hold", str(not violated).lower()))
+        pairs.append(("bounds_hold", str(holds).lower()))
     if args.format == "json":
-        payload: dict[str, object] = {"p": p, "seed": seed, "period": t, "linear_complexity": l_s, "rows": rows}
+        payload: dict[str, object] = {
+            "p": p,
+            "seed": seed,
+            "period": t,
+            "linear_complexity": l_s,
+            "rows": [dict(zip(header, row)) for row in rows],
+        }
         if args.bounds:
-            payload["bounds_hold"] = not violated
+            payload["bounds_hold"] = holds
         lines = _json_dump(payload)
     else:
-        lines = _meta("lcp", pairs)
-        header = list(rows[0]) if rows else ["N", "L"]
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_fmt(row[k]) for k in header))
+        lines = _table("lcp", pairs, header, rows)
     _emit(lines, args.out)
-    return EXIT_BOUND if violated else EXIT_OK
+    return EXIT_OK if holds else EXIT_BOUND
 
 
 @dataclass(frozen=True)
@@ -318,17 +279,17 @@ def _sampling_rng(seed: int, bit_size: int, residue: int) -> random.Random:
     return random.Random((seed * 1000003 + bit_size) * 4 + residue)
 
 
-def _primes_for_cell(bit_size: int, residue: int, sample: int, seed: int) -> tuple[list[int], bool]:
+def _primes_for_cell(bit_size: int, residue: int, sample: int, seed: int) -> list[int]:
     lo, hi = 1 << (bit_size - 1), 1 << bit_size
     if bit_size <= EXHAUSTIVE_MAX_BITS:
-        return [p for p in primes_in_range(lo, hi) if p > 3 and p % 4 == residue], False
+        return [p for p in primes_in_range(lo, hi) if p > 3 and p % 4 == residue]
     rng = _sampling_rng(seed, bit_size, residue)
     found: set[int] = set()
     while len(found) < sample:
         candidate = rng.randrange(lo // 4, hi // 4) * 4 + residue
         if lo <= candidate < hi and candidate not in found and is_prime(candidate):
             found.add(candidate)
-    return sorted(found), True
+    return sorted(found)
 
 
 def _prime_stats(task: tuple[int, bool]) -> tuple[bool, int, float, float] | tuple[bool]:
@@ -343,12 +304,26 @@ def _prime_stats(task: tuple[int, bool]) -> tuple[bool, int, float, float] | tup
     return maximal, cycles, states / cycles, per_seed
 
 
+def _jobs() -> int:
+    """Worker processes for sweeps, from the environment (default 1)."""
+    raw = os.environ.get(_JOBS_ENV, "1")
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise DomainError(f"{_JOBS_ENV} must be a positive integer, got {raw!r}")
+    return jobs
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     if not 3 <= args.n_min <= args.n_max:
         raise DomainError(f"need 3 <= n_min <= n_max, got {args.n_min}..{args.n_max}")
+    if args.sample < 1:
+        raise DomainError(f"--sample must be >= 1, got {args.sample}")
     residues = {"3mod4": [3], "1mod4": [1], "both": [3, 1]}[args.prime_class]
-    want_census = args.kind in ("cycles", "periods")
-    jobs = max(1, int(os.environ.get(_JOBS_ENV, "1")))
+    want_census = args.kind == "periods"
+    jobs = _jobs()
     deadline = time.monotonic() + args.budget_seconds if args.budget_seconds else None
     rows: list[SweepRow] = []
     truncated = False
@@ -359,39 +334,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 if deadline is not None and time.monotonic() > deadline:
                     truncated = True
                     break
-                primes, _sampled = _primes_for_cell(bit_size, residue, args.sample, args.seed)
-                tasks = [(p, want_census) for p in primes]
+                tasks = [(p, want_census) for p in _primes_for_cell(bit_size, residue, args.sample, args.seed)]
                 if pool is not None:
                     stats = list(pool.map(_prime_stats, tasks, chunksize=64))
                 else:
                     stats = [_prime_stats(task) for task in tasks]
                 n = len(stats)
                 pct = 100.0 * sum(1 for s in stats if s[0]) / n if n else 0.0
-                label = f"{residue}mod4"
-                if want_census and n:
-                    rows.append(
-                        SweepRow(
-                            bit_size=bit_size,
-                            prime_class=label,
-                            primes_tested=n,
-                            pct_maximal=pct,
-                            mean_cycles=sum(s[1] for s in stats) / n,
-                            mean_period_per_cycle=sum(s[2] for s in stats) / n,
-                            mean_period_per_seed=sum(s[3] for s in stats) / n,
-                        )
-                    )
-                else:
-                    rows.append(
-                        SweepRow(
-                            bit_size=bit_size,
-                            prime_class=label,
-                            primes_tested=n,
-                            pct_maximal=pct,
-                            mean_cycles=None,
-                            mean_period_per_cycle=None,
-                            mean_period_per_seed=None,
-                        )
-                    )
+                means = [sum(s[i] for s in stats) / n for i in (1, 2, 3)] if want_census and n else [None] * 3
+                rows.append(SweepRow(bit_size, f"{residue}mod4", n, pct, *means))
             if truncated:
                 break
     finally:
@@ -417,25 +368,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         }
         lines = _json_dump(payload)
     else:
-        lines = _meta("sweep", pairs)
-        lines.append(
-            "bit_size,prime_class,primes_tested,pct_maximal,mean_cycles,mean_period_per_cycle,mean_period_per_seed"
-        )
-        for row in rows:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        row.bit_size,
-                        row.prime_class,
-                        row.primes_tested,
-                        row.pct_maximal,
-                        row.mean_cycles,
-                        row.mean_period_per_cycle,
-                        row.mean_period_per_seed,
-                    )
-                )
-            )
+        lines = _table("sweep", pairs, [f.name for f in fields(SweepRow)], [astuple(row) for row in rows])
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -477,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.set_defaults(func=cmd_census)
 
     p_sweep = sub.add_parser("sweep", help="aggregate statistics per bit size and prime class")
-    p_sweep.add_argument("--kind", choices=("maximal", "cycles", "periods"), required=True)
+    p_sweep.add_argument("--kind", choices=("maximal", "periods"), required=True)
     p_sweep.add_argument("--n-min", type=int, required=True)
     p_sweep.add_argument("--n-max", type=int, required=True)
     p_sweep.add_argument("--class", dest="prime_class", choices=("3mod4", "1mod4", "both"), default="both")

@@ -13,9 +13,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidFieldError
-from .generator import logistic_map
+from .generator import logistic_cycle
 from .ivsets import build_iv_set
-from .numtheory import divisors, euler_phi, factorize, is_prime, mult_order
+from .numtheory import divisors, euler_phi, factorize, is_prime, mult_order, prime_flags
 
 
 def cycle_modulus(p: int) -> int:
@@ -94,13 +94,7 @@ def brute_census(p: int) -> Counter[int]:
     for a in iv.elements:
         if a in visited:
             continue
-        cycle = [a]
-        x = logistic_map(a, p)
-        while x != a:
-            cycle.append(x)
-            x = logistic_map(x, p)
-            if len(cycle) > p:
-                raise AssertionError(f"walk from {a} mod {p} never returned")
+        cycle = logistic_cycle(a, p)
         visited.update(cycle)
         counts[len(cycle)] += 1
     return counts
@@ -133,21 +127,11 @@ def is_maximal_prime(p: int) -> MaximalityReport:
     return MaximalityReport(p=p, is_maximal=True, p1=m, condition_branch=branch, max_period=(m - 1) // 2)
 
 
-def _prime_flags(limit: int) -> bytearray:
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for q in range(2, int(limit**0.5) + 1):
-        if flags[q]:
-            start = q * q
-            flags[start :: q] = b"\x00" * ((limit - start) // q + 1)
-    return flags
-
-
 def two_safe_primes(limit: int) -> list[int]:
     """All p <= limit with p = 2*p1 + 1, p1 = 2*p2 + 1, and p, p1, p2 prime."""
     if limit < 11:
         return []
-    flags = _prime_flags(limit)
+    flags = prime_flags(limit)
     found = []
     for p in range(11, limit + 1, 4):  # such p are always 3 mod 4
         if flags[p]:
@@ -161,7 +145,7 @@ def analogous_two_safe_primes(limit: int) -> list[int]:
     """All primes p <= limit, p = 1 mod 4, with p = 2*p1 - 1 and p1 a safe prime."""
     if limit < 13:
         return []
-    flags = _prime_flags(limit)
+    flags = prime_flags(limit)
     found = []
     for p1 in range(3, (limit + 1) // 2 + 1, 2):
         if not (flags[p1] and flags[(p1 - 1) // 2]):

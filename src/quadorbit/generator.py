@@ -139,6 +139,23 @@ def orbit(spec: GeneratorSpec, max_steps: int | None = None) -> OrbitReport:
     raise BudgetExceededError(f"no repeat within {budget} steps from seed {spec.seed} mod {spec.p}")
 
 
+def logistic_cycle(seed: int, p: int) -> list[int]:
+    """The logistic cycle through a seed in [0, p) that lies on a cycle.
+
+    A list-only walk back to the seed: cheaper than orbit()'s first-repeat
+    map, for callers (initial-value seeds) that know there is no tail.
+    """
+    # logistic_map inlined: this loop runs once per state of the cycle.
+    cycle = [seed]
+    x = 4 * seed * (seed + 1) % p
+    while x != seed:
+        cycle.append(x)
+        x = 4 * x * (x + 1) % p
+        if len(cycle) > p:
+            raise AssertionError(f"walk from {seed} mod {p} never returned")
+    return cycle
+
+
 def logistic_preimages(a: int, p: int) -> tuple[int, ...]:
     """All x with 4x(x+1) = a mod p, sorted; solved via (2x+1)^2 = a + 1."""
     a %= p

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .errors import DomainError
 from .diagram import cycle_modulus
-from .generator import KIND_LOGISTIC, GeneratorSpec, orbit
+from .generator import KIND_LOGISTIC, GeneratorSpec, logistic_cycle, orbit
 from .ivsets import in_iv_set
 
 
@@ -60,14 +61,11 @@ def berlekamp_massey_profile(seq: Iterable[int], p: int, n_max: int | None = Non
     data = [s % p for s in seq]
     if n_max is None:
         n_max = len(data)
+    elif n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
     if n_max > len(data):
         raise DomainError(f"profile to N={n_max} needs {n_max} terms, got {len(data)}")
-    profile = []
-    for n, length in enumerate(_bm_steps(data, p), start=1):
-        profile.append(length)
-        if n == n_max:
-            break
-    return profile
+    return list(islice(_bm_steps(data, p), n_max))
 
 
 def _poly_divmod_degree(u: list[int], v: list[int], p: int) -> list[int]:
@@ -142,34 +140,6 @@ def bound_dickson(n: int, period: int, p: int) -> float:
 
 
 @dataclass(frozen=True)
-class BoundCurve:
-    """A lower-bound curve, clamped at zero for plotting/CSV display."""
-
-    kind: str  # quadratic | sqrt | dickson
-    values: list[tuple[int, float]]
-
-
-def bound_curve(
-    kind: str,
-    n_max: int,
-    *,
-    period: int | None = None,
-    modulus: int | None = None,
-    p: int | None = None,
-    linear_complexity: int | None = None,
-) -> BoundCurve:
-    if kind == "quadratic":
-        points = [(n, bound_quadratic(n, period, modulus)) for n in range(1, n_max + 1)]
-    elif kind == "sqrt":
-        points = [(n, bound_sqrt(n, linear_complexity)) for n in range(1, n_max + 1)]
-    elif kind == "dickson":
-        points = [(n, bound_dickson(n, period, p)) for n in range(1, n_max + 1)]
-    else:
-        raise DomainError(f"unknown bound kind {kind!r}")
-    return BoundCurve(kind=kind, values=[(n, max(0.0, v)) for n, v in points])
-
-
-@dataclass(frozen=True)
 class LcpProfile:
     """Profile L(S,N) for N = 1..n_max plus the stabilized complexity."""
 
@@ -191,6 +161,8 @@ def profile_for_seed(p: int, seed: int, n_max: int | None = None) -> LcpProfile:
     the generator output.  The stabilized complexity comes from the gcd
     route, independently of the synthesis loop.
     """
+    if n_max is not None and n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
     rep = orbit(GeneratorSpec(kind=KIND_LOGISTIC, p=p, seed=seed))
     t = rep.period
     if n_max is None:
@@ -243,17 +215,13 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
     profile climbs above the maximum of both bound curves the remaining N
     are implied (the profile never decreases) and synthesis stops early.
     """
+    if n_max is not None and n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
     seed %= p
     if not in_iv_set(seed, p):
         raise DomainError(f"seed {seed} is not in the initial-value set of F_{p}")
     # IV seeds sit on cycles, so the orbit is the pure cycle through the seed.
-    cycle = [seed]
-    x = 4 * seed * (seed + 1) % p
-    while x != seed:
-        cycle.append(x)
-        x = 4 * x * (x + 1) % p
-        if len(cycle) > p:
-            raise AssertionError(f"walk from {seed} mod {p} never returned")
+    cycle = logistic_cycle(seed, p)
     t = len(cycle)
     m = cycle_modulus(p)
     if n_max is None:
@@ -263,19 +231,11 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
     seq = (cycle * reps)[:n_max]
     threshold = max(bound_quadratic(n_max, t, m), bound_sqrt(n_max, l_s))
     violations = []
-    # Inlined bound_quadratic / bound_sqrt for the per-step loop.
-    four_t2 = 4 * t * t
-    inv_16m = 1.0 / (16 * m)
-    sqrt_m = math.sqrt(m)
-    l_s_float = float(l_s)
     for n, length in enumerate(_bm_steps(seq, p), start=1):
-        n2 = n * n
-        quad = (n2 if n2 < four_t2 else four_t2) * inv_16m - sqrt_m
+        quad = bound_quadratic(n, t, m)
         if length < quad - BOUND_SLACK:
             violations.append(BoundViolation(n=n, observed=length, bound=quad, kind="quadratic"))
-        sqr = math.sqrt(2 * n) - 3
-        if sqr > l_s_float:
-            sqr = l_s_float
+        sqr = bound_sqrt(n, l_s)
         if length < sqr - BOUND_SLACK:
             violations.append(BoundViolation(n=n, observed=length, bound=sqr, kind="sqrt"))
         if n >= n_max or length >= threshold:

@@ -49,17 +49,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n by a sieve of Eratosthenes."""
+def prime_flags(n: int) -> bytearray:
+    """Sieve of Eratosthenes: flags[i] is 1 exactly when i <= n is prime."""
     if n < 2:
-        return []
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[0] = sieve[1] = 0
+        return bytearray(max(n + 1, 0))
+    flags = bytearray(b"\x01") * (n + 1)
+    flags[0] = flags[1] = 0
     for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
+        if flags[p]:
             start = p * p
-            sieve[start :: p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+            flags[start :: p] = b"\x00" * ((n - start) // p + 1)
+    return flags
+
+
+def primes_up_to(n: int) -> list[int]:
+    """All primes <= n."""
+    return [i for i, flag in enumerate(prime_flags(n)) if flag]
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
@@ -309,9 +314,6 @@ class Fp2Element:
     def norm(self) -> int:
         """Norm down to F_p: c0^2 - non_residue * c1^2."""
         return (self.c0 * self.c0 - self.ctx.non_residue * self.c1 * self.c1) % self.ctx.p
-
-    def in_base_field(self) -> bool:
-        return self.c1 == 0
 
     def __repr__(self) -> str:
         return f"({self.c0}+{self.c1}a mod {self.ctx.p})"

@@ -155,7 +155,7 @@ def test_sweep_small_and_deterministic(tmp_path, capsys):
 
 
 def test_sweep_census_kind(capsys):
-    code, out = run_cli(capsys, "sweep", "--kind", "cycles", "--n-min", "5", "--n-max", "6", "--class", "3mod4")
+    code, out = run_cli(capsys, "sweep", "--kind", "periods", "--n-min", "5", "--n-max", "6", "--class", "3mod4")
     assert code == 0
     rows = data_lines(out)
     for line in rows[1:]:
@@ -182,7 +182,7 @@ def test_sweep_samples_above_exhaustive_range(capsys):
 
 def test_sweep_budget_truncation(capsys):
     code, out = run_cli(
-        capsys, "sweep", "--kind", "cycles", "--n-min", "14", "--n-max", "18", "--budget-seconds", "0.0001"
+        capsys, "sweep", "--kind", "periods", "--n-min", "14", "--n-max", "18", "--budget-seconds", "0.0001"
     )
     assert code == 0
     assert "# truncated: budget exceeded" in out
@@ -196,9 +196,10 @@ def test_sweep_json(capsys):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as err:
-        main(["sweep", "--kind", "nonsense", "--n-min", "3", "--n-max", "4"])
-    assert err.value.code == 1
+    for kind in ("nonsense", "cycles"):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--kind", kind, "--n-min", "3", "--n-max", "4"])
+        assert err.value.code == 1
     assert main(["sweep", "--kind", "maximal", "--n-min", "2", "--n-max", "4"]) == 1
     assert main(["sweep", "--kind", "maximal", "--n-min", "5", "--n-max", "4"]) == 1
 
@@ -224,12 +225,32 @@ def test_orbit_predict_mismatch_exits_2(capsys, monkeypatch):
 
 
 def test_lcp_bound_violation_exits_3(capsys, monkeypatch):
-    import quadorbit.cli as cli
-
-    monkeypatch.setattr(cli, "bound_sqrt", lambda n, l_s: 10**6)
+    monkeypatch.setattr("quadorbit.lcp.bound_sqrt", lambda n, l_s: 10**6)
     code, out = run_cli(capsys, "lcp", "--p", "23", "--bounds")
     assert code == 3
     assert "# bounds_hold: false" in out
+
+
+def test_lcp_rejects_nonpositive_n_max(capsys):
+    for n_max in ("-3", "0"):
+        assert main(["lcp", "--p", "23", "--seed", "1", "--n-max", n_max, "--bounds"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n_max" in captured.err
+
+
+def test_sweep_rejects_nonpositive_sample(capsys):
+    args = ["sweep", "--kind", "maximal", "--n-min", "30", "--n-max", "30"]
+    assert main(args + ["--sample", "-1"]) == 1
+    assert main(args + ["--sample", "0"]) == 1
+    assert "--sample" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_sweep_rejects_bad_jobs_env(capsys, monkeypatch, value):
+    monkeypatch.setenv("QUADORBIT_JOBS", value)
+    assert main(["sweep", "--kind", "maximal", "--n-min", "3", "--n-max", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "QUADORBIT_JOBS" in captured.err
 
 
 def test_out_writes_file(tmp_path):

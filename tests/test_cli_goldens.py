@@ -1,0 +1,44 @@
+"""Byte goldens for every README command line, in every format it accepts.
+
+The sha256 of stdout and the exit code were recorded from the released
+behaviour; refactors of the library or the CLI must leave both unchanged.
+"""
+
+import hashlib
+
+import pytest
+
+from quadorbit.cli import main
+
+GOLDENS = [
+    ("orbit --p 23 --seed 1 --format text", 0, "26ba2b1ce3e667f48a9d396458d97e667465317b8841550bcd9c0fc78dc8a774"),
+    ("orbit --p 23 --seed 1 --format csv", 0, "94ae97c96bfd8a0b25368312cf80abeab44051197c96b26043040115bb3c75ee"),
+    ("orbit --p 23 --seed 1 --format json", 0, "a3cb30d02784156f4e02a8bd1a60214e7964fc51b6c4f82538cbcfe08e7d5bc8"),
+    ("orbit --p 17 --seed 12 --predict --format text", 0, "3a71e36c9bb93bc56cc2a51ffef36b16187cd190418e9e77d28f819def9aba18"),
+    ("orbit --p 17 --seed 12 --predict --format csv", 0, "9bd826bd02eb2f7f8e15d1685c709c8286fd26ac9641a258580c3b1a68d34188"),
+    ("orbit --p 17 --seed 12 --predict --format json", 0, "8f7f5fa6540606c6da4f416f9a0581d3edaab2b79cb5df0e1037d66f8ebf4f2d"),
+    ("ivset --p 23 --format csv", 0, "984fba7921990742d52f474620ef4a910819d108df8622d62c2dbfb62d28e1b2"),
+    ("ivset --p 23 --format json", 0, "44aa999db2e82a89c6b37d0229a723b1a2a88d203897960ef42c9ca4f283f87c"),
+    ("fibers --p 17 --format csv", 0, "dc432bd6b6b6856d97fa31a3b3468cadbca0e0e6c0bbdedaa1b28247624a288c"),
+    ("fibers --p 17 --format json", 0, "d0bbbd2f555957da34332caad296dcfeabfe57463c96a52487e776271fcdb326"),
+    ("census --p 23 --brute --format csv", 0, "ddfc8889fa12b3b1de026c7248c1af3aef412172542c626fede14934e98e44de"),
+    ("census --p 23 --brute --format json", 0, "1f6bccea75dcbdb7b3de564385a2d344944eb41da67fc370f3ed697b108ec5a3"),
+    ("safeprimes --limit 5000 --format text", 0, "5779f9740a1832280cfdadcc13787f290b2ab0fc4cb5e4258614bb910eb71ad5"),
+    ("safeprimes --limit 5000 --format csv", 0, "750f7415901b547100da616234f7791fae9c3263164d5f72f87e49f551c0d9d2"),
+    ("safeprimes --limit 5000 --format json", 0, "59ed6ad98f8e63bd20cee19d7c6aa4d6630c608bdc617bd71dcfff2b56fc0cf1"),
+    ("safeprimes --limit 1000000 --analogous --format text", 0, "1a252402972f6057fa53cc172b52b9ffca698e18311facd0f3b06ecaaef79e17"),
+    ("safeprimes --limit 1000000 --analogous --format csv", 0, "18531bf3532cb06e49776f0731ceacc37174b2eb750b0ac7381d5b3ae535a891"),
+    ("safeprimes --limit 1000000 --analogous --format json", 0, "e283423a15bfdd30ec2cf80deb3d82fb640b11883c370c204000089654cae6c1"),
+    ("lcp --p 6599 --bounds --format csv", 0, "e9a70a986a92a67b1f3f8f7530de8b1f66aa336e63487e6a36463d315bb15157"),
+    ("lcp --p 6599 --bounds --format json", 0, "f84bf2c3b7927ec188e04dc5e615d13d2ab1addbb38bb1e2d09275978fc489a2"),
+    ("sweep --kind maximal --n-min 3 --n-max 16 --format csv", 0, "5a9194eaaf54dd5d9c6e11343ad80ee7394fc1407ea5bef65bca045159d4303b"),
+    ("sweep --kind maximal --n-min 3 --n-max 16 --format json", 0, "e5299a17345ab6cba187795e1b474c62167844b1e4245a1db2a311c92835231d"),
+    ("sweep --kind periods --n-min 14 --n-max 18 --class 3mod4 --format csv", 0, "a896f9b5f53e06723470b4bc640d52f3a6e335a8578cfe3c35565b4099ae08fb"),
+    ("sweep --kind periods --n-min 14 --n-max 18 --class 3mod4 --format json", 0, "dc277021c42885e448bb98188e00d8187264978448947f52da6c40f6905c0d2c"),
+]
+
+
+@pytest.mark.parametrize("command,code,digest", GOLDENS, ids=[g[0] for g in GOLDENS])
+def test_readme_command_bytes(capsys, command, code, digest):
+    assert main(command.split()) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

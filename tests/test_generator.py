@@ -11,6 +11,7 @@ from quadorbit.generator import (
     GeneratorSpec,
     conjugate_seed,
     dickson_eval,
+    logistic_cycle,
     logistic_map,
     logistic_preimages,
     orbit,
@@ -138,6 +139,20 @@ def test_orbit_invariants():
 def test_orbit_budget():
     with pytest.raises(BudgetExceededError):
         orbit(GeneratorSpec(kind=KIND_LOGISTIC, p=23, seed=1), max_steps=2)
+
+
+def test_logistic_cycle_matches_orbit_on_iv_seeds():
+    for p in primes_up_to(499):
+        if p < 5:
+            continue
+        for a in build_iv_set(p).elements:
+            assert logistic_cycle(a, p) == logistic_orbit(p, a).cycle, (p, a)
+
+
+def test_logistic_cycle_rejects_seed_with_tail():
+    assert logistic_orbit(23, 11).tail == [11, 22]
+    with pytest.raises(AssertionError):
+        logistic_cycle(11, 23)
 
 
 def test_logistic_preimages_against_scan():

@@ -8,7 +8,6 @@ from quadorbit.errors import DomainError
 from quadorbit.ivsets import build_iv_set
 from quadorbit.lcp import (
     berlekamp_massey_profile,
-    bound_curve,
     bound_dickson,
     bound_quadratic,
     bound_sqrt,
@@ -44,6 +43,16 @@ def test_profile_monotone_with_bounded_jumps():
 def test_profile_needs_enough_terms():
     with pytest.raises(DomainError):
         berlekamp_massey_profile([1, 2, 3], 7, n_max=5)
+
+
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_profile_length_must_be_positive(n_max):
+    with pytest.raises(DomainError):
+        berlekamp_massey_profile([1, 2, 3, 4, 5], 7, n_max)
+    with pytest.raises(DomainError):
+        profile_for_seed(23, 1, n_max)
+    with pytest.raises(DomainError):
+        verify_profile_bounds(23, 1, n_max)
 
 
 def test_gcd_route_trivial_cases():
@@ -96,14 +105,6 @@ def test_quadratic_bound_dominates_dickson_bound():
         t = rng.randrange(1, m + 1)
         n = rng.randrange(1, 4 * t + 2)
         assert bound_quadratic(n, t, m) > bound_dickson(n, t, p)
-
-
-def test_bound_curve_clamps_for_display():
-    curve = bound_curve("quadratic", 10, period=5, modulus=11)
-    assert [n for n, _ in curve.values] == list(range(1, 11))
-    assert all(v >= 0.0 for _, v in curve.values)
-    with pytest.raises(DomainError):
-        bound_curve("cubic", 5)
 
 
 def test_verify_bounds_examples():

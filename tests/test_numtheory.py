@@ -12,6 +12,7 @@ from quadorbit.numtheory import (
     legendre,
     mult_order,
     order_up_to_sign,
+    prime_flags,
     primes_up_to,
     split_two_power,
     sqrt_mod,
@@ -35,6 +36,14 @@ def test_is_prime_examples():
 def test_is_prime_against_trial_division():
     for n in range(2000):
         assert is_prime(n) == trial_division_is_prime(n), n
+
+
+def test_prime_flags_against_trial_division():
+    for n in (-1, 0, 1, 2, 3, 4, 1000):
+        flags = prime_flags(n)
+        assert len(flags) == max(n + 1, 0)
+        assert [i for i, flag in enumerate(flags) if flag] == [i for i in range(n + 1) if trial_division_is_prime(i)]
+        assert primes_up_to(n) == [i for i, flag in enumerate(flags) if flag]
 
 
 def test_is_prime_large_values():
