@@ -39,7 +39,7 @@ from .generator import (
 )
 from .ivsets import KIND_SPLIT, build_iv_set, in_iv_set, param_fibers, param_kind
 from .lcp import bound_dickson, bound_quadratic, bound_sqrt, profile_for_seed, verify_profile_bounds
-from .numtheory import is_prime, primes_in_range
+from .numtheory import MR_PROVEN_LIMIT, is_prime, primes_in_range
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,6 +47,9 @@ EXIT_MISMATCH = 2
 EXIT_BOUND = 3
 
 EXHAUSTIVE_MAX_BITS = 24
+
+# Widest sweep cell whose primes is_prime proves: every n-bit prime is below 2^n.
+SWEEP_MAX_BITS = MR_PROVEN_LIMIT.bit_length() - 1
 
 _JOBS_ENV = "QUADORBIT_JOBS"
 
@@ -279,10 +282,8 @@ def _sampling_rng(seed: int, bit_size: int, residue: int) -> random.Random:
     return random.Random((seed * 1000003 + bit_size) * 4 + residue)
 
 
-def _primes_for_cell(bit_size: int, residue: int, sample: int, seed: int) -> list[int]:
+def _sampled_primes(bit_size: int, residue: int, sample: int, seed: int) -> list[int]:
     lo, hi = 1 << (bit_size - 1), 1 << bit_size
-    if bit_size <= EXHAUSTIVE_MAX_BITS:
-        return [p for p in primes_in_range(lo, hi) if p > 3 and p % 4 == residue]
     rng = _sampling_rng(seed, bit_size, residue)
     found: set[int] = set()
     while len(found) < sample:
@@ -319,6 +320,10 @@ def _jobs() -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if not 3 <= args.n_min <= args.n_max:
         raise DomainError(f"need 3 <= n_min <= n_max, got {args.n_min}..{args.n_max}")
+    if args.n_max > SWEEP_MAX_BITS:
+        raise DomainError(
+            f"--n-max {args.n_max} is above {SWEEP_MAX_BITS} bits: primality is only proven below {MR_PROVEN_LIMIT}"
+        )
     if args.sample < 1:
         raise DomainError(f"--sample must be >= 1, got {args.sample}")
     residues = {"3mod4": [3], "1mod4": [1], "both": [3, 1]}[args.prime_class]
@@ -330,11 +335,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
         for bit_size in range(args.n_min, args.n_max + 1):
+            exhaustive = None  # primes of this bit size, sieved once for both classes
             for residue in residues:
                 if deadline is not None and time.monotonic() > deadline:
                     truncated = True
                     break
-                tasks = [(p, want_census) for p in _primes_for_cell(bit_size, residue, args.sample, args.seed)]
+                if bit_size > EXHAUSTIVE_MAX_BITS:
+                    primes = _sampled_primes(bit_size, residue, args.sample, args.seed)
+                else:
+                    if exhaustive is None:
+                        exhaustive = primes_in_range(1 << (bit_size - 1), 1 << bit_size)
+                    primes = [p for p in exhaustive if p > 3 and p % 4 == residue]
+                tasks = [(p, want_census) for p in primes]
                 if pool is not None:
                     stats = list(pool.map(_prime_stats, tasks, chunksize=64))
                 else:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import InvalidFieldError
 from .generator import logistic_cycle
 from .ivsets import build_iv_set
-from .numtheory import divisors, euler_phi, factorize, is_prime, mult_order, prime_flags
+from .numtheory import factorize, is_prime, mult_order, prime_flags
 
 
 def cycle_modulus(p: int) -> int:
@@ -58,17 +59,35 @@ class CycleCensus:
         return counts
 
 
+def _divisor_orders(m: int) -> list[tuple[int, int, int]]:
+    """(d, ord_d(2), phi(d)) for every divisor d of odd m, sorted by d.
+
+    m is factored once.  ord_q(2) comes from the factorization of q - 1 and
+    is lifted along q^k: ord_{q^k}(2) is ord_{q^(k-1)}(2) or q times it.  A
+    divisor's order is the lcm, and its totient the product, over its prime
+    powers (Cohen, A Course in Computational Algebraic Number Theory, 1.4).
+    """
+    entries = [(1, 1, 1)]
+    for q, e in factorize(m).items():
+        order = mult_order(2, q, factorize(q - 1))
+        power, totient = q, q - 1
+        lifted = []
+        for _ in range(e):
+            if pow(2, order, power) != 1:
+                order *= q
+            lifted.append((power, order, totient))
+            power, totient = power * q, totient * q
+        entries += [(d * qk, lcm(o, ok), t * tk) for d, o, t in entries for qk, ok, tk in lifted]
+    return sorted(entries)
+
+
 def census(p: int) -> CycleCensus:
     """Per-divisor cycle counts and periods, straight from the formulas."""
     m = cycle_modulus(p)
     rows = []
-    for d in divisors(m):
-        if d == 1:
-            continue
-        order = mult_order(2, d)
+    for d, order, totient in _divisor_orders(m)[1:]:
         reachable = order % 2 == 0 and pow(2, order // 2, d) == d - 1
         period = order // 2 if reachable else order
-        totient = euler_phi(d)
         rows.append(
             CensusRow(
                 divisor=d,

@@ -194,7 +194,8 @@ class BoundCheckReport:
     period: int
     modulus: int
     linear_complexity: int
-    n_checked: int
+    n_checked: int  # the verdict covers N = 1..n_checked
+    n_synthesized: int  # Berlekamp-Massey steps run before the early stop
     violations: list[BoundViolation]
 
     @property
@@ -247,5 +248,6 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
         modulus=m,
         linear_complexity=l_s,
         n_checked=n_max,
+        n_synthesized=n,
         violations=violations,
     )

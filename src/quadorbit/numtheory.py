@@ -8,24 +8,46 @@ same inputs always produce the same outputs, byte for byte.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 
 from .errors import InvalidElementError, InvalidFieldError
 
-# Deterministic Miller-Rabin witnesses, valid for every n < 3.3 * 10^24
-# (covers the full 64-bit range this package is specified for).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
+# Trial divisors and Miller-Rabin bases of is_prime: the primes up to 53.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
-_TRIAL_DIVISION_LIMIT = 10**6
+# Deterministic Miller-Rabin tiers: for n below each bound, the first k prime
+# bases prove primality.  The bounds are the published psi_k, the least
+# strong pseudoprimes to the first k prime bases (Pomerance, Selfridge and
+# Wagstaff 1980; Jaeschke 1993; Jiang and Deng 2014; Sorenson and Webster 2017).
+_MR_TIERS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
+
+# is_prime is proven for every n below this.
+MR_PROVEN_LIMIT = _MR_TIERS[-1][0]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n >= 0 (no probabilistic failures)."""
+    """Primality test, deterministic for 0 <= n < MR_PROVEN_LIMIT (about 3.3 * 10^24).
+
+    Miller-Rabin with the first k prime bases, k the smallest proven for n's
+    size.  Above the limit all 16 bases up to 53 are used, which makes it a
+    strong probable-prime test only.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -36,7 +58,12 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for bound, k in _MR_TIERS:
+        if n < bound:
+            break
+    else:
+        k = len(_SMALL_PRIMES)
+    for a in _SMALL_PRIMES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -64,12 +91,13 @@ def prime_flags(n: int) -> bytearray:
 
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n."""
-    return [i for i, flag in enumerate(prime_flags(n)) if flag]
+    return list(compress(range(n + 1), prime_flags(n)))
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p < hi."""
-    return [p for p in primes_up_to(hi - 1) if p >= lo]
+    primes = primes_up_to(hi - 1)
+    return primes[bisect_left(primes, lo) :]
 
 
 def legendre(a: int, p: int) -> int:
@@ -171,15 +199,20 @@ def _brent_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # unreachable for composite n
 
 
-@lru_cache(maxsize=None)
+# Trial divisors of _factorize: the primes below 2^10.  The cofactor they
+# leave has no prime factor below 2^10 and goes to is_prime and Brent-rho.
+_TRIAL_PRIMES = tuple(primes_up_to((1 << 10) - 1))
+
+
+@lru_cache(maxsize=1 << 12)
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n and d <= _TRIAL_DIVISION_LIMIT:
+    for d in _TRIAL_PRIMES:
+        if d * d > n:
+            break
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
-        d += 1 if d == 2 else 2
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -195,8 +228,9 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
 def factorize(n: int) -> dict[int, int]:
     """Complete prime factorization of n >= 1 as {prime: exponent}.
 
-    Trial division up to 10^6, then Brent-rho for any remaining cofactor;
-    results are cached, so repeated calls are cheap.
+    Trial division by the primes below 2^10, then Miller-Rabin on the
+    cofactor and Brent-rho while it is composite; results are cached
+    (least recently used, 4096 entries).
     """
     if n < 1:
         raise InvalidElementError(f"cannot factorize {n}")

@@ -257,3 +257,18 @@ def test_out_writes_file(tmp_path):
     target = tmp_path / "iv.csv"
     assert main(["ivset", "--p", "23", "--out", str(target)]) == 0
     assert "12" in target.read_text()
+
+
+def test_sweep_rejects_bit_sizes_beyond_proven_primality(capsys):
+    from quadorbit.cli import SWEEP_MAX_BITS
+    from quadorbit.numtheory import MR_PROVEN_LIMIT
+
+    # Every SWEEP_MAX_BITS-bit prime is below the proven limit; the next size is not.
+    assert SWEEP_MAX_BITS == 81
+    assert 2**SWEEP_MAX_BITS <= MR_PROVEN_LIMIT < 2 ** (SWEEP_MAX_BITS + 1)
+    for n_min, n_max in ((82, 82), (90, 90), (40, 82)):
+        args = ["sweep", "--kind", "maximal", "--n-min", str(n_min), "--n-max", str(n_max), "--sample", "1"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "81 bits" in captured.err and str(MR_PROVEN_LIMIT) in captured.err

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from quadorbit.diagram import (
@@ -10,7 +12,7 @@ from quadorbit.diagram import (
 )
 from quadorbit.errors import InvalidFieldError
 from quadorbit.ivsets import build_iv_set
-from quadorbit.numtheory import is_prime, primes_up_to
+from quadorbit.numtheory import divisors, euler_phi, is_prime, mult_order, primes_up_to
 
 PRIMES = [p for p in primes_up_to(500) if p > 3]
 
@@ -109,3 +111,25 @@ def test_analogous_two_safe():
     assert analogous_two_safe_primes(12) == []
     rep = is_maximal_prime(13)
     assert rep.is_maximal and rep.p1 == 7
+
+
+def _census_primes_for_lifting_oracle():
+    primes = [p for p in primes_up_to(2999) if p >= 5]
+    rng = random.Random(40)
+    sampled = set()
+    while len(sampled) < 20:
+        candidate = rng.getrandbits(40) | (1 << 39) | 1
+        if is_prime(candidate):
+            sampled.add(candidate)
+    return primes + sorted(sampled)
+
+
+def test_census_orders_match_direct_per_divisor_computation():
+    # census lifts ord_q(2) along prime powers and combines them by lcm; the
+    # oracle computes each divisor's order and totient from scratch.
+    for p in _census_primes_for_lifting_oracle():
+        c = census(p)
+        assert [r.divisor for r in c.rows] == divisors(c.modulus)[1:], p
+        for r in c.rows:
+            assert r.order_of_2 == mult_order(2, r.divisor), (p, r.divisor)
+            assert r.totient == euler_phi(r.divisor), (p, r.divisor)

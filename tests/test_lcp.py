@@ -136,3 +136,15 @@ def test_bound_crossover_on_a_large_maximal_prime():
     assert max(quad_leads) == n_max
     # for a small maximal prime the quadratic bound never gets ahead
     assert all(bound_sqrt(n, 179) >= bound_quadratic(n, 179, 359) for n in range(1, 359))
+
+
+def test_verify_bounds_counts_synthesized_steps():
+    # The profile clears both bound curves long before N = 2T, so synthesis
+    # stops early while the verdict still covers every N up to n_max.
+    p = 6599
+    rep = verify_profile_bounds(p, build_iv_set(p).elements[0])
+    assert rep.holds
+    assert rep.n_checked == 2 * rep.period == 3298
+    assert rep.n_synthesized == 297
+    rep = verify_profile_bounds(23, 1, 10)
+    assert rep.n_synthesized <= rep.n_checked == 10

@@ -4,6 +4,7 @@ import pytest
 
 from quadorbit.errors import InvalidElementError, InvalidFieldError
 from quadorbit.numtheory import (
+    MR_PROVEN_LIMIT,
     divisors,
     euler_phi,
     factorize,
@@ -229,3 +230,114 @@ def test_fp2_element_order():
     assert k == ctx.element_order(t)
     ctx23 = fp2_context(23)
     assert ctx23.element_order(ctx23.one) == 1
+
+
+# Published psi_k with the number of bases is_prime uses below each: psi_k is
+# the least strong pseudoprime to the first k prime bases.
+MR_TIER_BOUNDS = [
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+]
+
+# The largest prime below each bound (checked with sympy.prevprime).
+LARGEST_PRIME_BELOW_BOUND = [
+    2039,
+    1373639,
+    25325981,
+    3215031749,
+    2152302898729,
+    3474749660329,
+    341550071728289,
+    3825123056546412979,
+    318665857834031151167441,
+    3317044064679887385961813,
+]
+
+FIRST_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n, a):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("bound, k", MR_TIER_BOUNDS)
+def test_is_prime_rejects_each_tier_bound(bound, k):
+    # Each bound fools the k bases proven below it, so the tier boundary is
+    # exactly where k stops being enough.
+    assert all(strong_probable_prime(bound, a) for a in FIRST_PRIME_BASES[:k])
+    assert is_prime(bound) is False
+
+
+@pytest.mark.parametrize("prime", LARGEST_PRIME_BELOW_BOUND)
+def test_is_prime_accepts_largest_prime_below_each_tier_bound(prime):
+    assert is_prime(prime) is True
+
+
+def test_proven_limit_is_the_last_tier_bound():
+    assert MR_PROVEN_LIMIT == MR_TIER_BOUNDS[-1][0]
+
+
+def test_factorize_around_the_trial_division_limit():
+    # 1021 is the largest trial prime; 1031 and 1033 are the first primes rho
+    # has to find.
+    cases = {
+        1021**2: {1021: 2},
+        1021 * 1031: {1021: 1, 1031: 1},
+        1031**2: {1031: 2},
+        1031**3 * 1033: {1031: 3, 1033: 1},
+        2**10 * 3 * 1031 * 1033: {2: 10, 3: 1, 1031: 1, 1033: 1},
+        (2**31 - 1) ** 2: {2**31 - 1: 2},
+        (2**31 - 1) * (2**61 - 1): {2**31 - 1: 1, 2**61 - 1: 1},
+        1000003 * 1000033: {1000003: 1, 1000033: 1},
+    }
+    for n, expected in cases.items():
+        assert factorize(n) == expected, n
+
+
+def _seeded_values(bits, count, seed):
+    rng = random.Random(seed)
+    return [rng.getrandbits(bits) | (1 << (bits - 1)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("bits", [24, 47, 62])
+def test_differential_against_sympy(bits):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(bits)
+    values = _seeded_values(bits, 30, bits)
+    # Primes and products of two primes of half the size, which rho must split.
+    values += [sympy.nextprime(v) for v in values[:10]]
+    half = [sympy.nextprime(v) for v in _seeded_values(bits // 2, 10, bits + 1)]
+    values += [a * b for a, b in zip(half, reversed(half))]
+    for n in values:
+        assert is_prime(n) == sympy.isprime(n), n
+        assert factorize(n) == sympy.factorint(n), n
+    for n in values[:15]:
+        g = rng.randrange(2, n)
+        while _gcd(g, n) != 1:
+            g += 1
+        assert mult_order(g, n) == sympy.n_order(g, n), (g, n)
+
+
+def test_published_bounds_and_primes_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for (bound, _), prime in zip(MR_TIER_BOUNDS, LARGEST_PRIME_BELOW_BOUND):
+        assert not sympy.isprime(bound)
+        assert sympy.prevprime(bound) == prime
