@@ -453,6 +453,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "p", None) is not None and args.p >= MR_PROVEN_LIMIT:
+            raise DomainError(f"--p {args.p} is not below {MR_PROVEN_LIMIT}: primality is only proven below it")
         return args.func(args)
     except (DomainError, BudgetExceededError) as exc:
         print(f"quadorbit: error: {exc}", file=sys.stderr)

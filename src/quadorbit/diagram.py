@@ -15,8 +15,13 @@ from math import lcm
 
 from .errors import InvalidFieldError
 from .generator import logistic_cycle
-from .ivsets import build_iv_set
+from .ivsets import build_iv_set, check_enumerable
 from .numtheory import factorize, is_prime, mult_order, prime_flags
+
+
+# Largest p brute_census walks; like the IV set it is built from, `census
+# --brute` on it finishes within about a minute and a gigabyte.
+BRUTE_CENSUS_MAX_P = 1 << 24
 
 
 def cycle_modulus(p: int) -> int:
@@ -107,6 +112,7 @@ def brute_census(p: int) -> Counter[int]:
     Walks the logistic map from every element, deduplicating cycles.  This
     is the oracle the census formulas are checked against.
     """
+    check_enumerable(p, BRUTE_CENSUS_MAX_P, "the cycles")
     iv = build_iv_set(p)
     visited: set[int] = set()
     counts: Counter[int] = Counter()

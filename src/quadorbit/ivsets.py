@@ -19,6 +19,21 @@ from .numtheory import Fp2Element, fp2_context, is_prime, legendre, sqrt_mod
 KIND_SPLIT = "split"
 KIND_NORM_ONE = "norm_one"
 
+# Largest p each O(p) enumeration accepts: the CLI command on it finishes
+# within about a minute and a gigabyte.  Fibers hold four parameters per
+# element (extension elements for p = 1 mod 4), hence the lower limit.
+IV_SET_MAX_P = 1 << 24
+FIBERS_MAX_P = 1 << 20
+
+
+def check_enumerable(p: int, limit: int, what: str) -> None:
+    """Refuse an O(p) enumeration above its limit, before it allocates."""
+    if p > limit:
+        raise DomainError(
+            f"enumerating {what} of F_p needs p <= {limit}, got {p}; "
+            "`census` and `orbit --predict` work analytically at any size"
+        )
+
 
 def param_kind(p: int) -> str:
     """Which parameter space F_p uses: split for p = 3 mod 4, norm_one else."""
@@ -50,15 +65,20 @@ class IvSet:
 def build_iv_set(p: int) -> IvSet:
     """Exact membership scan over F_p.
 
-    Built from a residue table rather than through the parametrization, so
-    it stays an independent oracle for the latter.
+    A bytearray of square flags is filled from 1 <= x <= (p - 1)/2 (x and
+    p - x share a square), then every a in [1, p - 2] is tested against the
+    flags of a and a + 1.  The table is filled here and nowhere else, so
+    the set stays an independent oracle for the parametrization.
     """
     kind = param_kind(p)
-    squares = {x * x % p for x in range(1, p)}
+    check_enumerable(p, IV_SET_MAX_P, "the initial-value set")
+    squares = bytearray(p)
+    for x in range(1, (p + 1) // 2):
+        squares[x * x % p] = 1
     if kind == KIND_SPLIT:
-        elements = [a for a in range(1, p - 1) if a in squares and a + 1 in squares]
+        elements = [a for a in range(1, p - 1) if squares[a] and squares[a + 1]]
     else:
-        elements = [a for a in range(1, p - 1) if a not in squares and a + 1 in squares]
+        elements = [a for a in range(1, p - 1) if squares[a + 1] and not squares[a]]
     return IvSet(p=p, kind=kind, elements=elements)
 
 
@@ -71,18 +91,20 @@ def _seed_from_split_param(t: int, p: int) -> int:
 
 
 def _seed_from_norm_one_param(t: Fp2Element) -> int:
-    p = t.ctx.p
-    if t.norm() != 1:
+    p, ns = t.ctx.p, t.ctx.non_residue
+    c0, c1 = t.c0, t.c1
+    if (c0 * c0 - ns * c1 * c1) % p != 1:
         raise DomainError(f"parameter {t} does not have norm 1")
-    if t.c1 == 0:
+    if c1 == 0:
         raise DegenerateParameterError(f"parameter {t} is +-1")
-    diff = t - t.inverse()
+    # On the norm-one group 1/t is the conjugate (c0, -c1).
+    i0, i1 = c0, -c1 % p
     inv2 = (p + 1) // 2
-    half_diff = Fp2Element(diff.c0 * inv2 % p, diff.c1 * inv2 % p, t.ctx)
-    sq = half_diff * half_diff
-    if sq.c1 != 0:
+    h0, h1 = (c0 - i0) * inv2 % p, (c1 - i1) * inv2 % p
+    sq0, sq1 = (h0 * h0 + ns * h1 * h1) % p, 2 * h0 * h1 % p
+    if sq1 != 0:
         raise AssertionError(f"image of {t} left the base field")
-    return sq.c0
+    return sq0
 
 
 def seed_from_param(t: int | Fp2Element, p: int | None = None) -> int:
@@ -99,19 +121,24 @@ def seed_from_param(t: int | Fp2Element, p: int | None = None) -> int:
 
 
 def _norm_one_params(p: int) -> list[Fp2Element]:
-    """The norm-one subgroup of F_{p^2}^x minus {+-1}, sorted by (c0, c1)."""
+    """The norm-one subgroup of F_{p^2}^x minus {+-1}, sorted by (c0, c1).
+
+    c0 + c1*a has norm one exactly when c1^2 = (c0^2 - 1)/ns.  A table
+    roots[x*x % p] = x for 1 <= x <= (p - 1)/2 gives the root min(r, p - r)
+    of every nonzero square and 0 for a non-residue, so each c0 costs one
+    lookup and yields (c0, c1) before (c0, p - c1): already in order.
+    """
     ctx = fp2_context(p)
     inv_ns = pow(ctx.non_residue, -1, p)
+    roots = [0] * p
+    for x in range(1, (p + 1) // 2):
+        roots[x * x % p] = x
     params = []
     for c0 in range(p):
-        rhs = (c0 * c0 - 1) * inv_ns % p
-        if rhs == 0:
-            continue  # t = +-1
-        if legendre(rhs, p) == 1:
-            c1 = sqrt_mod(rhs, p)
-            params.append(ctx.elem(c0, c1))
-            params.append(ctx.elem(c0, p - c1))
-    params.sort(key=lambda t: (t.c0, t.c1))
+        c1 = roots[(c0 * c0 - 1) * inv_ns % p]  # 0 for t = +-1 and for non-residues
+        if c1:
+            params.append(Fp2Element(c0, c1, ctx))
+            params.append(Fp2Element(c0, p - c1, ctx))
     return params
 
 
@@ -121,8 +148,10 @@ def param_fibers(p: int) -> dict[int, list[int] | list[Fp2Element]]:
     Fibers are sorted (ints ascending, extension elements by (c0, c1)) and
     are closed under t -> -t and t -> 1/t.
     """
+    kind = param_kind(p)
+    check_enumerable(p, FIBERS_MAX_P, "the parameter fibers")
     fibers: dict[int, list] = {}
-    if param_kind(p) == KIND_SPLIT:
+    if kind == KIND_SPLIT:
         for t in range(2, p - 1):
             fibers.setdefault(_seed_from_split_param(t, p), []).append(t)
     else:

@@ -1,8 +1,12 @@
 import json
+import tracemalloc
 
 import pytest
 
 from quadorbit.cli import main
+from quadorbit.diagram import BRUTE_CENSUS_MAX_P
+from quadorbit.ivsets import FIBERS_MAX_P, IV_SET_MAX_P
+from quadorbit.numtheory import MR_PROVEN_LIMIT
 
 
 def run_cli(capsys, *argv):
@@ -272,3 +276,62 @@ def test_sweep_rejects_bit_sizes_beyond_proven_primality(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "81 bits" in captured.err and str(MR_PROVEN_LIMIT) in captured.err
+
+
+def _peak_bytes(argv):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "argv,limit",
+    [
+        (["ivset", "--p", "16777259"], IV_SET_MAX_P),
+        (["census", "--p", "16777259", "--brute"], BRUTE_CENSUS_MAX_P),
+        (["fibers", "--p", "1048583"], FIBERS_MAX_P),
+        (["fibers", "--p", "1048589"], FIBERS_MAX_P),
+        (["ivset", "--p", "2305843009213693951"], IV_SET_MAX_P),
+        (["fibers", "--p", "2305843009213693951"], FIBERS_MAX_P),
+        (["census", "--p", "2305843009213693951", "--brute"], BRUTE_CENSUS_MAX_P),
+    ],
+)
+def test_enumerators_refuse_p_above_their_limit(capsys, argv, limit):
+    # The first primes above 2^24 and 2^20 (p = 3 and 1 mod 4 for fibers), and 2^61 - 1.
+    assert limit in (1 << 24, 1 << 20)
+    code, peak = _peak_bytes(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert str(limit) in captured.err and "`census`" in captured.err and "`orbit --predict`" in captured.err
+    # The smallest table refused here (2^20 fiber roots) would take 8 MB; the
+    # analytic census that `census --brute` runs first takes about 1 MB.
+    assert peak < 4 << 20, "a table was allocated before the limit check"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["orbit", "--seed", "1"],
+        ["ivset"],
+        ["fibers"],
+        ["census"],
+        ["census", "--brute"],
+        ["lcp"],
+    ],
+)
+def test_p_commands_reject_unproven_primality(capsys, argv):
+    mersenne_89 = str(2**89 - 1)
+    argv = [argv[0], "--p", mersenne_89, *argv[1:]]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(MR_PROVEN_LIMIT) in captured.err
+
+
+def test_census_of_a_61_bit_prime_still_runs(capsys):
+    code, out = run_cli(capsys, "census", "--p", "2305843009213693951")
+    assert code == 0
+    assert "# p: 2305843009213693951" in out

@@ -1,7 +1,10 @@
-"""Byte goldens for every README command line, in every format it accepts.
+"""Byte goldens for every README command line, in every format it accepts,
+and for the O(p) enumerators at sizes where a fast path would show.
 
 The sha256 of stdout and the exit code were recorded from the released
-behaviour; refactors of the library or the CLI must leave both unchanged.
+behaviour (the large-p ones from the per-element Legendre, Tonelli-Shanks
+and F_{p^2} object construction); refactors of the library or the CLI
+must leave both unchanged.
 """
 
 import hashlib
@@ -37,8 +40,28 @@ GOLDENS = [
     ("sweep --kind periods --n-min 14 --n-max 18 --class 3mod4 --format json", 0, "dc277021c42885e448bb98188e00d8187264978448947f52da6c40f6905c0d2c"),
 ]
 
+# Norm-one (p = 1 mod 4) and split fibers, an IV set and a brute census near
+# the sizes the enumerate benchmark runs.
+LARGE_P_GOLDENS = [
+    ("fibers --p 100829 --format csv", 0, "5c17bc64670dc3c8deeeaf5b46d3d6841b080dfd5d6b64e9bd799c0f43847254"),
+    ("fibers --p 100829 --format json", 0, "b17fdb2886acdb1e28cfa770d89a0c4e5c42d49401a8bc7fefaa479a2722e066"),
+    ("fibers --p 100943 --format csv", 0, "6410b8dd3eb359d83970bc6a0b8126d88dfc2813799f38f0d1faf7b521f4f5b9"),
+    ("fibers --p 100943 --format json", 0, "7c058bcb2b145a003f6b65652d0a224696d091dff4fa91f77b572cdf77799486"),
+    ("ivset --p 503563", 0, "f2d1a2a7a319aaa6146bdfeb6a1aa397d3207d0479553a40d6c7b7da34973e5f"),
+    ("census --p 500693 --brute", 0, "1a72e227e302026112d3b83dadffa13f60d8abcbb14f2fd9f8655a2a58e0b084"),
+]
+
+
+def _check_bytes(capsys, command, code, digest):
+    assert main(command.split()) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 @pytest.mark.parametrize("command,code,digest", GOLDENS, ids=[g[0] for g in GOLDENS])
 def test_readme_command_bytes(capsys, command, code, digest):
-    assert main(command.split()) == code
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    _check_bytes(capsys, command, code, digest)
+
+
+@pytest.mark.parametrize("command,code,digest", LARGE_P_GOLDENS, ids=[g[0] for g in LARGE_P_GOLDENS])
+def test_large_p_command_bytes(capsys, command, code, digest):
+    _check_bytes(capsys, command, code, digest)

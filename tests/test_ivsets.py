@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadorbit.diagram import brute_census, census
 from quadorbit.errors import DegenerateParameterError, DomainError, InvalidFieldError
 from quadorbit.generator import logistic_map
 from quadorbit.ivsets import (
     KIND_NORM_ONE,
     KIND_SPLIT,
+    _norm_one_params,
     build_iv_set,
     canonical_param,
     conjugation_check,
@@ -17,6 +21,7 @@ from quadorbit.ivsets import (
 from quadorbit.numtheory import fp2_context, legendre, primes_up_to
 
 PRIMES = [p for p in primes_up_to(500) if p > 3]
+PROPERTY_PRIMES = [p for p in primes_up_to(30_000) if p > 3]
 
 # Fiber tables for p = 23 (split) and p = 17 (norm-one over x^2 - 3).
 FIBERS_23 = {
@@ -43,6 +48,50 @@ def test_build_iv_set_examples():
     assert iv.kind == KIND_NORM_ONE
     assert build_iv_set(7).elements == [1]
     assert build_iv_set(5).elements == [3]
+
+
+def test_build_iv_set_matches_euler_criterion():
+    for p in primes_up_to(2000):
+        if p < 5:
+            continue
+        want = 1 if p % 4 == 3 else p - 1
+        half = (p - 1) // 2
+        expected = [a for a in range(1, p - 1) if pow(a, half, p) == want and pow(a + 1, half, p) == 1]
+        assert build_iv_set(p).elements == expected, p
+
+
+def test_norm_one_params_match_brute_force():
+    for p in primes_up_to(300):
+        if p % 4 != 1:
+            continue
+        ctx = fp2_context(p)
+        ns = ctx.non_residue
+        expected = [
+            (c0, c1)
+            for c0 in range(p)
+            for c1 in range(p)
+            if (c0 * c0 - ns * c1 * c1) % p == 1 and (c0, c1) not in ((1, 0), (p - 1, 0))
+        ]
+        params = _norm_one_params(p)
+        assert [(t.c0, t.c1) for t in params] == expected, p
+        assert all(t.ctx == ctx for t in params)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PROPERTY_PRIMES))
+def test_fibers_iv_set_and_census_agree(p):
+    fibers = param_fibers(p)
+    assert sorted(fibers) == build_iv_set(p).elements
+    for fiber in fibers.values():
+        if param_kind(p) == KIND_SPLIT:
+            group = set(fiber)
+            assert all(p - t in group and pow(t, -1, p) in group for t in fiber)
+        else:
+            group = {(t.c0, t.c1) for t in fiber}
+            for t in fiber:
+                neg, inv = -t, t.inverse()
+                assert (neg.c0, neg.c1) in group and (inv.c0, inv.c1) in group
+    assert census(p).period_counter() == brute_census(p)
 
 
 def test_build_iv_set_rejects_small_p():
