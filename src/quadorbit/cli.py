@@ -48,6 +48,16 @@ EXIT_BOUND = 3
 
 EXHAUSTIVE_MAX_BITS = 24
 
+# Largest --sample: about half of the smallest sampled cell (the 25-bit
+# classes hold 492,882 primes = 1 mod 4 and 492,936 = 3 mod 4), so the
+# rejection sampler always finds enough distinct primes and stops.
+SAMPLE_MAX = 1 << 18
+
+# Largest orbit (tail + period) that lcp walks and largest number of
+# profile terms it synthesizes.  The gcd route is O(T^2) and the full
+# profile O(N^2): at the limit, lcp --bounds --format json takes 23-28 s.
+LCP_MAX_TERMS = 12_000
+
 # Widest sweep cell whose primes is_prime proves: every n-bit prime is below 2^n.
 SWEEP_MAX_BITS = MR_PROVEN_LIMIT.bit_length() - 1
 
@@ -226,6 +236,14 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         seed = iv.elements[0]
     if args.bounds and not in_iv_set(seed, p):
         raise DomainError(f"--bounds needs a seed in the initial-value set, got {seed}")
+    # Analytic, so a long orbit of a large p is refused before any walk.
+    pred = predict_orbit(p, seed, "any")
+    terms = args.n_max if args.n_max is not None else 2 * pred.period
+    if max(pred.tail_length + pred.period, terms) > LCP_MAX_TERMS:
+        raise DomainError(
+            f"lcp would walk {pred.tail_length + pred.period} states and synthesize {terms} terms, above its "
+            f"limit of {LCP_MAX_TERMS}; use `census` or `orbit --predict` for the analytic period"
+        )
     prof = profile_for_seed(p, seed, args.n_max)
     t = prof.period
     m = cycle_modulus(p)
@@ -324,8 +342,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise DomainError(
             f"--n-max {args.n_max} is above {SWEEP_MAX_BITS} bits: primality is only proven below {MR_PROVEN_LIMIT}"
         )
-    if args.sample < 1:
-        raise DomainError(f"--sample must be >= 1, got {args.sample}")
+    if not 1 <= args.sample <= SAMPLE_MAX:
+        raise DomainError(f"--sample must be in 1..{SAMPLE_MAX}, got {args.sample}")
     residues = {"3mod4": [3], "1mod4": [1], "both": [3, 1]}[args.prime_class]
     want_census = args.kind == "periods"
     jobs = _jobs()

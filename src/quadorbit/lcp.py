@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 from .diagram import cycle_modulus
@@ -20,18 +21,24 @@ from .generator import KIND_LOGISTIC, GeneratorSpec, logistic_cycle, orbit
 from .ivsets import in_iv_set
 
 
-def _bm_steps(seq: list[int], p: int) -> Iterator[int]:
-    """Yield L(S, N) for N = 1..len(seq), one prefix at a time."""
+def _bm_steps(seq: Sequence[int], p: int) -> Iterator[int]:
+    """Yield L(S, N) for N = 1..len(seq), one prefix at a time.
+
+    Berlekamp-Massey over F_p.  The discrepancy at step n is
+    s_n + sum_i conn[i] * s_{n-i}, taken as one map over the reversed
+    connection polynomial and the len(conn) - 1 terms before s_n (its
+    degree never exceeds the current length, which never exceeds n).  The
+    update subtracts coef * X^gap * prev in a plain loop: on the short
+    prefixes that the early-stopping bound check asks for, a slice
+    comprehension there was no faster.
+    """
     conn = [1]  # connection polynomial, constant term first
     prev = [1]  # last polynomial before the previous length change
     length = 0
     gap = 1  # X-power separating conn from prev
     prev_disc_inv = 1
     for n, s_n in enumerate(seq):
-        disc = s_n
-        for i in range(1, len(conn)):
-            disc += conn[i] * seq[n - i]
-        disc %= p
+        disc = (s_n + sum(map(mul, conn[:0:-1], seq[n + 1 - len(conn) : n]))) % p
         if disc != 0:
             coef = disc * prev_disc_inv % p
             jump = 2 * length <= n
@@ -39,9 +46,8 @@ def _bm_steps(seq: list[int], p: int) -> Iterator[int]:
             need = gap + len(prev)
             if need > len(conn):
                 conn.extend([0] * (need - len(conn)))
-            for i, v in enumerate(prev):
-                if v:
-                    conn[gap + i] = (conn[gap + i] - coef * v) % p
+            for i, v in enumerate(prev, gap):
+                conn[i] = (conn[i] - coef * v) % p
             while len(conn) > 1 and conn[-1] == 0:
                 conn.pop()
             if jump:
@@ -76,8 +82,8 @@ def _poly_divmod_degree(u: list[int], v: list[int], p: int) -> list[int]:
     for i in range(len(r) - 1, dv - 1, -1):
         q = r[i] * inv_lead % p
         if q:
-            for j in range(dv + 1):
-                r[i - dv + j] = (r[i - dv + j] - q * v[j]) % p
+            lo = i - dv
+            r[lo : i + 1] = [(a - q * b) % p for a, b in zip(r[lo : i + 1], v)]
     while r and r[-1] == 0:
         r.pop()
     return r
@@ -106,6 +112,12 @@ def _cycle_complexity_cached(p: int, canonical_cycle: tuple[int, ...]) -> int:
     return linear_complexity_via_gcd(list(canonical_cycle), p)
 
 
+def _canonical(cycle: list[int]) -> tuple[int, ...]:
+    """The rotation of an orbit cycle that starts at its minimum state."""
+    k = cycle.index(min(cycle))
+    return tuple(cycle[k:] + cycle[:k])
+
+
 def _cycle_complexity(cycle: list[int], p: int) -> int:
     """linear_complexity_via_gcd, cached up to rotation.
 
@@ -114,8 +126,37 @@ def _cycle_complexity(cycle: list[int], p: int) -> int:
     distinct states, so starting the cycle at its minimum canonicalizes it.
     Seeds on a shared cycle then pay for one gcd instead of one each.
     """
-    k = cycle.index(min(cycle))
-    return _cycle_complexity_cached(p, tuple(cycle[k:] + cycle[:k]))
+    return _cycle_complexity_cached(p, _canonical(cycle))
+
+
+# Walk cache of _locate_on_cycle: (p, state) -> (canonical cycle, index of
+# the state in it).  At about 180 bytes per entry, 2^15 states take about
+# 6 MB, and the whole cycle of every maximal prime below 5000 (at most 2500
+# states) fits many times over.
+_walked: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
+WALK_CACHE_STATES = 1 << 15
+
+
+def _locate_on_cycle(seed: int, p: int) -> tuple[tuple[int, ...], int]:
+    """(cycle in canonical rotation, index of seed in it) for a seed on a cycle.
+
+    The first seed of a cycle walks it once (logistic_cycle); every state of
+    the cycle then maps to that tuple and its own index, so the other seeds
+    read their rotation off it by slicing, with no walk and no
+    canonicalization.  Only walk data is kept: L(S) stays in
+    _cycle_complexity_cached and no bound value is stored, so patched bound
+    curves never meet stale values.  The cache is emptied whenever a new
+    cycle would take it past WALK_CACHE_STATES; a longer cycle is not kept.
+    """
+    hit = _walked.get((p, seed))
+    if hit is not None:
+        return hit
+    cycle = _canonical(logistic_cycle(seed, p))
+    if len(_walked) + len(cycle) > WALK_CACHE_STATES:
+        _walked.clear()
+    if len(cycle) <= WALK_CACHE_STATES:
+        _walked.update(((p, s), (cycle, i)) for i, s in enumerate(cycle))
+    return cycle, cycle.index(seed)
 
 
 def bound_quadratic(n: int, period: int, modulus: int) -> float:
@@ -212,9 +253,18 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
     """Check L(S,N) against both lower bounds for all N <= n_max (default 2T).
 
     Any violation is reported with full context rather than raised, so a
-    falsification would be visible instead of crashing the sweep.  Once the
-    profile climbs above the maximum of both bound curves the remaining N
-    are implied (the profile never decreases) and synthesis stops early.
+    falsification would be visible instead of crashing the sweep.  The
+    seed's cycle comes from the walk cache (one walk per cycle), and the
+    sequence is its rotation starting at the seed.
+
+    Both bound curves and the profile never decrease in N, which gives two
+    shortcuts that leave violations and n_synthesized unchanged:
+    - once the profile climbs above the maximum of both curves at n_max,
+      the remaining N are implied and synthesis stops early;
+    - once L(S,n) meets both curves at N = n, they are evaluated once more
+      at the horizon min(2n, n_max).  If L(S,n) meets them there too, no N
+      up to the horizon can violate them, and their per-N evaluation is
+      skipped up to it.
     """
     if n_max is not None and n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
@@ -222,23 +272,29 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
     if not in_iv_set(seed, p):
         raise DomainError(f"seed {seed} is not in the initial-value set of F_{p}")
     # IV seeds sit on cycles, so the orbit is the pure cycle through the seed.
-    cycle = logistic_cycle(seed, p)
+    cycle, start = _locate_on_cycle(seed, p)
     t = len(cycle)
     m = cycle_modulus(p)
     if n_max is None:
         n_max = 2 * t
-    l_s = _cycle_complexity(cycle, p)
-    reps = -(-n_max // t)
-    seq = (cycle * reps)[:n_max]
+    l_s = _cycle_complexity_cached(p, cycle)
+    # The first n_max terms of the cycle read from the seed's index onward.
+    seq = (cycle * (-(-n_max // t) + 1))[start : start + n_max]
     threshold = max(bound_quadratic(n_max, t, m), bound_sqrt(n_max, l_s))
     violations = []
+    horizon = 0  # no N <= horizon can violate either bound
     for n, length in enumerate(_bm_steps(seq, p), start=1):
-        quad = bound_quadratic(n, t, m)
-        if length < quad - BOUND_SLACK:
-            violations.append(BoundViolation(n=n, observed=length, bound=quad, kind="quadratic"))
-        sqr = bound_sqrt(n, l_s)
-        if length < sqr - BOUND_SLACK:
-            violations.append(BoundViolation(n=n, observed=length, bound=sqr, kind="sqrt"))
+        if n > horizon:
+            quad = bound_quadratic(n, t, m)
+            if length < quad - BOUND_SLACK:
+                violations.append(BoundViolation(n=n, observed=length, bound=quad, kind="quadratic"))
+            sqr = bound_sqrt(n, l_s)
+            if length < sqr - BOUND_SLACK:
+                violations.append(BoundViolation(n=n, observed=length, bound=sqr, kind="sqrt"))
+            if length >= max(quad, sqr) - BOUND_SLACK:
+                far = min(2 * n, n_max)
+                if length >= max(bound_quadratic(far, t, m), bound_sqrt(far, l_s)) - BOUND_SLACK:
+                    horizon = far
         if n >= n_max or length >= threshold:
             break
     return BoundCheckReport(

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from quadorbit.cli import main
+from quadorbit.cli import LCP_MAX_TERMS, SAMPLE_MAX, main
 from quadorbit.diagram import BRUTE_CENSUS_MAX_P
 from quadorbit.ivsets import FIBERS_MAX_P, IV_SET_MAX_P
 from quadorbit.numtheory import MR_PROVEN_LIMIT
@@ -249,6 +249,23 @@ def test_sweep_rejects_nonpositive_sample(capsys):
     assert "--sample" in capsys.readouterr().err
 
 
+def test_sweep_refuses_sample_above_its_cap_before_sampling(capsys, monkeypatch):
+    # The 25-bit classes, the smallest ones sampled, hold 492,882 primes
+    # (1 mod 4) and 492,936 (3 mod 4), counted by sieve; asking for more
+    # used to loop forever in the rejection sampler.
+    assert SAMPLE_MAX < 492_882
+
+    def never(*args):
+        raise AssertionError("sampled before checking --sample")
+
+    monkeypatch.setattr("quadorbit.cli._sampled_primes", never)
+    args = ["sweep", "--kind", "maximal", "--n-min", "25", "--n-max", "25"]
+    for sample in (SAMPLE_MAX + 1, 500_000):
+        assert main(args + ["--sample", str(sample)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(SAMPLE_MAX) in captured.err
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
 def test_sweep_rejects_bad_jobs_env(capsys, monkeypatch, value):
     monkeypatch.setenv("QUADORBIT_JOBS", value)
@@ -309,6 +326,36 @@ def test_enumerators_refuse_p_above_their_limit(capsys, argv, limit):
     # The smallest table refused here (2^20 fiber roots) would take 8 MB; the
     # analytic census that `census --brute` runs first takes about 1 MB.
     assert peak < 4 << 20, "a table was allocated before the limit check"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 61-bit periods near 10^15 and 10^16: the walk alone would exhaust memory.
+        ["lcp", "--p", "2305843009213693921", "--seed", "7"],
+        ["lcp", "--p", "2305843009213693907", "--seed", "3", "--n-max", "10", "--bounds"],
+        # The IV cycle of the maximal prime 64007 has 16001 states.
+        ["lcp", "--p", "64007", "--seed", "1", "--n-max", "10"],
+        # A 5-state cycle, but more profile terms than the limit.
+        ["lcp", "--p", "23", "--seed", "1", "--n-max", str(LCP_MAX_TERMS + 1)],
+    ],
+)
+def test_lcp_refuses_orbits_and_profiles_above_its_limit(capsys, argv):
+    code, peak = _peak_bytes(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert str(LCP_MAX_TERMS) in captured.err and "`census`" in captured.err and "`orbit --predict`" in captured.err
+    assert peak < 4 << 20, "the orbit was walked before the limit check"
+
+
+def test_lcp_limit_follows_the_predicted_orbit_not_p(capsys):
+    # Every orbit mod 2^61 - 1 has a period dividing 60, so lcp answers there.
+    code, peak = _peak_bytes(["lcp", "--p", "2305843009213693951", "--seed", "1", "--bounds"])
+    out = capsys.readouterr().out
+    assert code == 0 and "# period: 60" in out and len(data_lines(out)) == 1 + 120
+    assert peak < 4 << 20
+    code, out = run_cli(capsys, "lcp", "--p", "23", "--seed", "1", "--n-max", str(LCP_MAX_TERMS))
+    assert code == 0 and len(data_lines(out)) == 1 + LCP_MAX_TERMS
 
 
 @pytest.mark.parametrize(

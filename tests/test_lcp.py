@@ -1,12 +1,15 @@
+import hashlib
 import math
 import random
 
 import pytest
 
-from quadorbit.diagram import cycle_modulus
+from quadorbit import lcp
+from quadorbit.diagram import cycle_modulus, is_maximal_prime
 from quadorbit.errors import DomainError
 from quadorbit.ivsets import build_iv_set
 from quadorbit.lcp import (
+    BOUND_SLACK,
     berlekamp_massey_profile,
     bound_dickson,
     bound_quadratic,
@@ -148,3 +151,122 @@ def test_verify_bounds_counts_synthesized_steps():
     assert rep.n_synthesized == 297
     rep = verify_profile_bounds(23, 1, 10)
     assert rep.n_synthesized <= rep.n_checked == 10
+
+
+def _textbook_profile(seq, p):
+    """L(S, N) for N = 1..len(seq): Massey's algorithm as usually written,
+    with a fresh connection polynomial per length change."""
+    c, b = [1], [1]
+    length, shift, b_disc = 0, 1, 1
+    profile = []
+    for n in range(len(seq)):
+        d = seq[n]
+        for i in range(1, len(c)):
+            d += c[i] * seq[n - i]  # zero padding past deg C makes any wrapped index harmless
+        d %= p
+        if d == 0:
+            shift += 1
+        else:
+            coef = d * pow(b_disc, -1, p) % p
+            t = c + [0] * max(0, len(b) + shift - len(c))
+            for i, v in enumerate(b):
+                t[i + shift] = (t[i + shift] - coef * v) % p
+            if 2 * length <= n:
+                length, b, b_disc, shift = n + 1 - length, c, d, 1
+            else:
+                shift += 1
+            c = t
+        profile.append(length)
+    return profile
+
+
+# n_max values checked for every seed; "over" stands for 2T + 7.
+N_MAXES = (None, 1, 7, 50, "over")
+REFERENCE_PRIMES = [p for p in primes_up_to(600) if p > 3]
+
+
+@pytest.fixture(scope="module")
+def reference_profiles():
+    """(p, seed, T, profile over max(2T + 7, 50) terms) for every IV seed of
+    every prime below 600, from a plain walk and the textbook algorithm."""
+    cases = []
+    for p in REFERENCE_PRIMES:
+        for seed in build_iv_set(p).elements:
+            cycle, x = [seed], 4 * seed * (seed + 1) % p
+            while x != seed:
+                cycle.append(x)
+                x = 4 * x * (x + 1) % p
+            t = len(cycle)
+            terms = max(2 * t + 7, 50)
+            cases.append((p, seed, t, _textbook_profile((cycle * (terms // t + 1))[:terms], p)))
+    return cases
+
+
+def _check_every_seed(cases):
+    """Compare every report field with a bound check at every N <= n_max,
+    using the bound curves the library module currently holds."""
+    compared = tripped = 0
+    for p, seed, t, profile in cases:
+        m, l_s = cycle_modulus(p), profile[2 * t - 1]
+        quad = [lcp.bound_quadratic(n, t, m) for n in range(1, len(profile) + 1)]
+        sqr = [lcp.bound_sqrt(n, l_s) for n in range(1, len(profile) + 1)]
+        below = []  # (N, L(S,N), bound, kind) for every N the profile covers
+        for n, length in enumerate(profile, start=1):
+            if length < quad[n - 1] - BOUND_SLACK:
+                below.append((n, length, quad[n - 1], "quadratic"))
+            if length < sqr[n - 1] - BOUND_SLACK:
+                below.append((n, length, sqr[n - 1], "sqrt"))
+        for n_max in N_MAXES:
+            n_checked = {None: 2 * t, "over": 2 * t + 7}.get(n_max, n_max)
+            violations = [v for v in below if v[0] <= n_checked]
+            threshold = max(quad[n_checked - 1], sqr[n_checked - 1])
+            n_synthesized = next((n for n in range(1, n_checked + 1) if profile[n - 1] >= threshold), n_checked)
+            rep = verify_profile_bounds(p, seed, None if n_max is None else n_checked)
+            got = (rep.p, rep.seed, rep.period, rep.modulus, rep.linear_complexity, rep.n_checked, rep.n_synthesized)
+            assert got == (p, seed, t, m, l_s, n_checked, n_synthesized), (p, seed, n_max)
+            assert [(v.n, v.observed, v.bound, v.kind) for v in rep.violations] == violations, (p, seed, n_max)
+            compared += 1
+            tripped += bool(violations)
+    return compared, tripped
+
+
+def test_verifier_matches_a_bound_check_at_every_n(reference_profiles):
+    compared, _ = _check_every_seed(reference_profiles)
+    assert compared == len(N_MAXES) * len(reference_profiles)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [lambda n, l_s: n / 3, lambda n, l_s: min(math.sqrt(8 * n) - 1, l_s)],
+    ids=["n/3", "sqrt(8n)-1"],
+)
+def test_verifier_matches_under_curves_that_trip_mid_profile(reference_profiles, monkeypatch, curve):
+    # Monotone in N like the real curves, but tight enough that profiles
+    # fall below them, so violations are found between skipped stretches.
+    # Synthesis then rarely stops early; primes below 400 keep this quick.
+    monkeypatch.setattr("quadorbit.lcp.bound_sqrt", curve)
+    compared, tripped = _check_every_seed([case for case in reference_profiles if case[0] < 400])
+    assert 0 < tripped < compared
+
+
+def test_synthesized_steps_pinned_over_maximal_primes():
+    # Recorded before the walk cache, the bound-check horizon and the map
+    # discrepancy: the early stop must land on the same N for every seed.
+    digest = hashlib.sha256()
+    for p in primes_up_to(1499):
+        if p > 3 and is_maximal_prime(p).is_maximal:
+            for seed in build_iv_set(p).elements:
+                digest.update(f"{p} {seed} {verify_profile_bounds(p, seed).n_synthesized}\n".encode())
+    assert digest.hexdigest() == "f563d0d16b4ec7a774c027be58ed9a7304154e0e021635649c2f5d0c126ea279"
+
+
+def test_walk_cache_stays_bounded(monkeypatch):
+    # IV cycles of 5 (p=23), 11 (p=47) and 89 states (p=359): a cache of 12
+    # states is emptied before each new prime, and never holds the last one.
+    cases = [(p, a) for p in (23, 47, 359) for a in build_iv_set(p).elements]
+    expected = [verify_profile_bounds(p, a) for p, a in cases]
+    monkeypatch.setattr(lcp, "_walked", {})
+    monkeypatch.setattr(lcp, "WALK_CACHE_STATES", 12)
+    for (p, a), rep in zip(cases, expected):
+        assert verify_profile_bounds(p, a) == rep
+        assert len(lcp._walked) <= 12
