@@ -19,7 +19,9 @@ from .generator import (
     OrbitReport,
     conjugate_seed,
     dickson_eval,
+    in_iv_set,
     logistic_map,
+    lucas_order,
     orbit,
     predict_orbit,
     step,
@@ -29,7 +31,6 @@ from .ivsets import (
     build_iv_set,
     canonical_param,
     conjugation_check,
-    in_iv_set,
     param_fibers,
     preimage_signs,
     seed_from_param,

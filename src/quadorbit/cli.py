@@ -34,10 +34,12 @@ from .generator import (
     KIND_LOGISTIC,
     KIND_LOGISTIC_GENERAL,
     GeneratorSpec,
+    OrbitPrediction,
+    in_iv_set,
     orbit,
     predict_orbit,
 )
-from .ivsets import KIND_SPLIT, build_iv_set, in_iv_set, param_fibers, param_kind
+from .ivsets import KIND_SPLIT, build_iv_set, param_fibers, param_kind
 from .lcp import bound_dickson, bound_quadratic, bound_sqrt, profile_for_seed, verify_profile_bounds
 from .numtheory import MR_PROVEN_LIMIT, is_prime, primes_in_range
 
@@ -52,6 +54,10 @@ EXHAUSTIVE_MAX_BITS = 24
 # classes hold 492,882 primes = 1 mod 4 and 492,936 = 3 mod 4), so the
 # rejection sampler always finds enough distinct primes and stops.
 SAMPLE_MAX = 1 << 18
+
+# Largest orbit (tail + period) that orbit walks.  No logistic or Dickson
+# orbit at p <= 2^24 exceeds it; the longest takes about 9 s and 680 MB.
+ORBIT_MAX_STATES = 1 << 22
 
 # Largest orbit (tail + period) that lcp walks and largest number of
 # profile terms it synthesizes.  The gcd route is O(T^2) and the full
@@ -107,40 +113,41 @@ def _table(command: str, pairs: list[tuple[str, object]], header: list[str], row
     return _meta(command, pairs) + [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
 
 
+def _predict(spec: GeneratorSpec) -> OrbitPrediction:
+    if spec.kind == KIND_LOGISTIC_GENERAL:
+        raise DomainError("prediction is only available for control parameter 4")
+    if spec.kind == KIND_DICKSON:
+        # Shadow seed of the logistic chain this Dickson orbit conjugates.
+        return predict_orbit(spec.p, (spec.seed - 2) * pow(4, -1, spec.p) % spec.p, "any")
+    return predict_orbit(spec.p, spec.seed, "iv_set" if in_iv_set(spec.seed, spec.p) else "any")
+
+
 def cmd_orbit(args: argparse.Namespace) -> int:
     kind = {"logistic": KIND_LOGISTIC, "dickson2": KIND_DICKSON, "logistic-general": KIND_LOGISTIC_GENERAL}[args.kind]
     spec = GeneratorSpec(kind=kind, p=args.p, seed=args.seed, mu=args.mu)
-    rep = orbit(spec, args.max_steps)
-    payload: dict[str, object] = {
-        "p": args.p,
-        "seed": spec.seed,
-        "kind": args.kind,
-        "tail": rep.tail,
-        "cycle": rep.cycle,
-        "tail_length": rep.tail_length,
-        "period": rep.period,
-    }
-    matched = True
-    if args.predict:
-        if kind == KIND_LOGISTIC_GENERAL:
-            raise DomainError("prediction is only available for control parameter 4")
-        if kind == KIND_DICKSON:
-            # Shadow seed of the logistic chain this Dickson orbit conjugates.
-            pred_seed = (spec.seed - 2) * pow(4, -1, args.p) % args.p
-            pred = predict_orbit(args.p, pred_seed, "any")
-        elif in_iv_set(spec.seed, args.p):
-            pred = predict_orbit(args.p, spec.seed, "iv_set")
-        else:
-            pred = predict_orbit(args.p, spec.seed, "any")
-        matched = pred.tail_length == rep.tail_length and pred.period == rep.period
-        payload.update(
-            {
-                "predicted_tail_length": pred.tail_length,
-                "predicted_period": pred.period,
-                "degenerate": pred.degenerate,
-                "match": matched,
-            }
+    # tail + period <= p, so only a p above the limit can need more states:
+    # predict those orbits before walking them.
+    pred = _predict(spec) if kind != KIND_LOGISTIC_GENERAL and args.p > ORBIT_MAX_STATES else None
+    walk = pred is None or pred.tail_length + pred.period <= ORBIT_MAX_STATES
+    if not walk and not args.predict:
+        raise DomainError(
+            f"the orbit has {pred.tail_length + pred.period} states, above the walk limit of {ORBIT_MAX_STATES}; "
+            "use `orbit --predict` for the analytic tail length and period"
         )
+    payload: dict[str, object] = {"p": args.p, "seed": spec.seed, "kind": args.kind}
+    matched = True
+    if walk:
+        rep = orbit(spec, min(args.p if args.max_steps is None else args.max_steps, ORBIT_MAX_STATES))
+        payload.update(tail=rep.tail, cycle=rep.cycle, tail_length=rep.tail_length, period=rep.period)
+    if args.predict:
+        if pred is None:
+            pred = _predict(spec)
+        payload.update(
+            predicted_tail_length=pred.tail_length, predicted_period=pred.period, degenerate=pred.degenerate
+        )
+        if walk:
+            matched = pred.tail_length == rep.tail_length and pred.period == rep.period
+            payload["match"] = matched
     if args.format == "json":
         lines = _json_dump(payload)
     else:

@@ -11,16 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError, DomainError, InvalidFieldError
-from .numtheory import (
-    factorize,
-    fp2_context,
-    is_prime,
-    legendre,
-    mult_order,
-    order_up_to_sign,
-    split_two_power,
-    sqrt_mod,
-)
+from .numtheory import factorize, is_prime, legendre, order_up_to_sign, split_two_power, sqrt_mod
 
 KIND_LOGISTIC = "logistic"
 KIND_DICKSON = "dickson2"
@@ -182,60 +173,59 @@ class OrbitPrediction:
     degenerate: bool = False
 
 
-def _order_of_quadratic_root(u: int, p: int) -> int:
-    """Order of a root of X^2 - u*X + 1 in the multiplicative group of F_{p^2}."""
-    inv2 = (p + 1) // 2
-    disc = (u * u - 4) % p
-    if disc == 0:
-        t = u * inv2 % p  # t = 1 or p - 1
-        return 1 if t == 1 else 2
-    if legendre(disc, p) == 1:
-        t = (u + sqrt_mod(disc, p)) * inv2 % p
-        return mult_order(t, p, factorize(p - 1))
-    ctx = fp2_context(p)
-    c1 = sqrt_mod(disc * pow(ctx.non_residue, -1, p) % p, p)
-    t = ctx.elem(u * inv2, c1 * inv2)
-    # The two roots are Frobenius conjugates with product 1, so norm(t) = 1
-    # and the order divides p + 1.
-    return ctx.element_order(t, p + 1)
+def lucas_order(u: int, p: int) -> int:
+    """Multiplicative order of a root t of X^2 - u*X + 1 over an odd prime p.
+
+    The roots satisfy t + 1/t = u, Vasiga-Shallit's parametrization of
+    x^2 - 2, so D_n(u, 1) = t^n + t^-n equals 2 exactly when t^n = 1.
+    The roots lie in F_p (order dividing p - 1) unless u^2 - 4 is a
+    non-residue; then they are norm-one conjugates in F_{p^2} (order
+    dividing p + 1).  Each prime q is divided out of k while D_{k/q}(u, 1) = 2.
+    """
+    k = p + 1 if legendre(u * u - 4, p) == -1 else p - 1
+    for q in factorize(k):
+        while k % q == 0 and dickson_eval(k // q, u, 1, p) == 2:
+            k //= q
+    return k
+
+
+def in_iv_set(a: int, p: int) -> bool:
+    """Membership test for the initial-value set of F_p, p a prime > 3."""
+    if not is_prime(p) or p <= 3:
+        raise InvalidFieldError(f"{p} is not a prime > 3")
+    sign = 1 if p % 4 == 3 else -1
+    a %= p
+    return legendre(a, p) == sign and legendre(a + 1, p) == 1
 
 
 def predict_orbit(p: int, seed: int, seed_class: str = "iv_set") -> OrbitPrediction:
     """Predict (tail length, period) of the logistic orbit of seed mod p.
 
-    seed_class "iv_set" requires the seed to lie in the long-period
-    initial-value set and derives the orbit shape from the order of a
-    hyperbola-parameter preimage: writing that order as 2^e * m with m odd,
-    the tail is 0 for e = 0 and e - 1 otherwise, and the period is the
+    Both classes take the order of a parameter t with t + 1/t = u from
+    lucas_order (dividing p - 1 or p + 1 as u^2 - 4 is a square or not)
+    and write it as 2^e * m with m odd.
+
+    seed_class "iv_set" requires the seed a to lie in the long-period
+    initial-value set, whose hyperbola parameters have u = 2 * sqrt(a + 1).
+    The tail is 0 for e = 0 and e - 1 otherwise, and the period is the
     least k with 2^k = +-1 mod m.
 
-    seed_class "any" accepts every seed and works on the conjugate Dickson
-    seed 4s + 2 via a root of X^2 - (4s+2)X + 1; there the tail is e.  The
-    conjugation is a bijection on states, so tail and period apply to the
-    logistic orbit of the seed as well.
+    seed_class "any" accepts every seed and takes u = 4s + 2, the conjugate
+    Dickson seed; there the tail is e.  The conjugation is a bijection on
+    states, so tail and period apply to the logistic orbit of the seed.
     """
     if not is_prime(p) or p <= 3:
         raise InvalidFieldError(f"{p} is not a prime > 3")
     seed %= p
     if seed_class == "iv_set":
-        sign = 1 if p % 4 == 3 else -1
-        if legendre(seed, p) != sign or legendre(seed + 1, p) != 1:
+        if not in_iv_set(seed, p):
             raise DomainError(f"seed {seed} is not in the initial-value set of F_{p}")
-        if p % 4 == 3:
-            t = (sqrt_mod(seed, p) + sqrt_mod(seed + 1, p)) % p
-            order = mult_order(t, p, factorize(p - 1))
-        else:
-            ctx = fp2_context(p)
-            c1 = sqrt_mod(seed * pow(ctx.non_residue, -1, p) % p, p)
-            t = ctx.elem(sqrt_mod(seed + 1, p), c1)
-            order = ctx.element_order(t, p + 1)
-        e, m = split_two_power(order)
+        e, m = split_two_power(lucas_order(2 * sqrt_mod(seed + 1, p), p))
         # Parameters of the initial-value set always have m >= 3: the
         # 2-power-order elements of either parameter group are just +-1.
         return OrbitPrediction(tail_length=0 if e == 0 else e - 1, period=order_up_to_sign(m))
     if seed_class == "any":
-        order = _order_of_quadratic_root(conjugate_seed(seed, p), p)
-        e, m = split_two_power(order)
+        e, m = split_two_power(lucas_order(conjugate_seed(seed, p), p))
         if m == 1:
             return OrbitPrediction(tail_length=e, period=1, degenerate=True)
         return OrbitPrediction(tail_length=e, period=order_up_to_sign(m))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateParameterError, DomainError, InvalidFieldError
-from .generator import logistic_map, logistic_preimages
+from .generator import in_iv_set, logistic_map, logistic_preimages
 from .numtheory import Fp2Element, fp2_context, is_prime, legendre, sqrt_mod
 
 KIND_SPLIT = "split"
@@ -40,13 +40,6 @@ def param_kind(p: int) -> str:
     if not is_prime(p) or p <= 3:
         raise InvalidFieldError(f"{p} is not a prime > 3")
     return KIND_SPLIT if p % 4 == 3 else KIND_NORM_ONE
-
-
-def in_iv_set(a: int, p: int) -> bool:
-    """Membership test for the initial-value set of F_p."""
-    sign = 1 if param_kind(p) == KIND_SPLIT else -1
-    a %= p
-    return legendre(a, p) == sign and legendre(a + 1, p) == 1
 
 
 @dataclass(frozen=True)

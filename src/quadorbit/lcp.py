@@ -17,8 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 from .diagram import cycle_modulus
-from .generator import KIND_LOGISTIC, GeneratorSpec, logistic_cycle, orbit
-from .ivsets import in_iv_set
+from .generator import KIND_LOGISTIC, GeneratorSpec, in_iv_set, logistic_cycle, orbit
 
 
 def _bm_steps(seq: Sequence[int], p: int) -> Iterator[int]:

@@ -237,14 +237,6 @@ def factorize(n: int) -> dict[int, int]:
     return dict(_factorize(n))
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, sorted ascending."""
-    divs = [1]
-    for prime, exp in _factorize(n):
-        divs = [d * prime**k for d in divs for k in range(exp + 1)]
-    return sorted(divs)
-
-
 def euler_phi(n: int) -> int:
     """Euler's totient of n >= 1."""
     phi = 1
@@ -305,14 +297,6 @@ class Fp2Element:
     c1: int
     ctx: "Fp2Context"
 
-    def __add__(self, other: "Fp2Element") -> "Fp2Element":
-        p = self.ctx.p
-        return Fp2Element((self.c0 + other.c0) % p, (self.c1 + other.c1) % p, self.ctx)
-
-    def __sub__(self, other: "Fp2Element") -> "Fp2Element":
-        p = self.ctx.p
-        return Fp2Element((self.c0 - other.c0) % p, (self.c1 - other.c1) % p, self.ctx)
-
     def __neg__(self) -> "Fp2Element":
         p = self.ctx.p
         return Fp2Element(-self.c0 % p, -self.c1 % p, self.ctx)
@@ -323,27 +307,12 @@ class Fp2Element:
         c1 = (self.c0 * other.c1 + self.c1 * other.c0) % p
         return Fp2Element(c0, c1, self.ctx)
 
-    def __pow__(self, e: int) -> "Fp2Element":
-        base = self.inverse() if e < 0 else self
-        e = abs(e)
-        result = self.ctx.one
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def inverse(self) -> "Fp2Element":
         nrm = self.norm()
         if nrm == 0:
             raise InvalidElementError("zero has no inverse")
         inv_norm = pow(nrm, -1, self.ctx.p)
         return Fp2Element(self.c0 * inv_norm % self.ctx.p, -self.c1 * inv_norm % self.ctx.p, self.ctx)
-
-    def frobenius(self) -> "Fp2Element":
-        """The p-power map; on this representation it just flips the sign of c1."""
-        return Fp2Element(self.c0, -self.c1 % self.ctx.p, self.ctx)
 
     def norm(self) -> int:
         """Norm down to F_p: c0^2 - non_residue * c1^2."""
@@ -362,25 +331,6 @@ class Fp2Context:
 
     def elem(self, c0: int, c1: int = 0) -> Fp2Element:
         return Fp2Element(c0 % self.p, c1 % self.p, self)
-
-    @property
-    def one(self) -> Fp2Element:
-        return Fp2Element(1, 0, self)
-
-    def element_order(self, x: Fp2Element, group_order: int | None = None) -> int:
-        """Order of x in the multiplicative group F_{p^2}^x.
-
-        Callers that know a smaller multiple of the order (e.g. p + 1 for
-        norm-one elements) can pass it to skip factoring p^2 - 1.
-        """
-        if x.c0 == 0 and x.c1 == 0:
-            raise InvalidElementError("zero has no multiplicative order")
-        n = group_order if group_order is not None else self.p * self.p - 1
-        k = n
-        for prime in factorize(n):
-            while k % prime == 0 and (x ** (k // prime)) == self.one:
-                k //= prime
-        return k
 
 
 def fp2_context(p: int) -> Fp2Context:

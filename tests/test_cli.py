@@ -1,10 +1,12 @@
 import json
+import time
 import tracemalloc
 
 import pytest
 
-from quadorbit.cli import LCP_MAX_TERMS, SAMPLE_MAX, main
+from quadorbit.cli import LCP_MAX_TERMS, ORBIT_MAX_STATES, SAMPLE_MAX, main
 from quadorbit.diagram import BRUTE_CENSUS_MAX_P
+from quadorbit.generator import predict_orbit
 from quadorbit.ivsets import FIBERS_MAX_P, IV_SET_MAX_P
 from quadorbit.numtheory import MR_PROVEN_LIMIT
 
@@ -356,6 +358,68 @@ def test_lcp_limit_follows_the_predicted_orbit_not_p(capsys):
     assert peak < 4 << 20
     code, out = run_cli(capsys, "lcp", "--p", "23", "--seed", "1", "--n-max", str(LCP_MAX_TERMS))
     assert code == 0 and len(data_lines(out)) == 1 + LCP_MAX_TERMS
+
+
+# Logistic seed 7 mod this 61-bit prime has period 758,404,304,617,860.
+BIG_P = 2305843009213693921
+
+
+def test_orbit_refuses_walks_above_its_limit(capsys):
+    code, peak = _peak_bytes(["orbit", "--p", str(BIG_P), "--seed", "7"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert str(ORBIT_MAX_STATES) in captured.err and "`orbit --predict`" in captured.err
+    assert peak < 4 << 20, "the orbit was walked before the limit check"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "7", "--format", "json"],
+        ["--seed", "7", "--format", "text"],
+        # Dickson seed 30 = 4 * 7 + 2 shadows logistic seed 7.
+        ["--seed", "30", "--kind", "dickson2", "--format", "json"],
+    ],
+)
+def test_orbit_predict_answers_analytically_above_the_limit(capsys, argv):
+    start = time.perf_counter()
+    code, peak = _peak_bytes(["orbit", "--p", str(BIG_P), "--predict", *argv])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0 and elapsed < 1.0 and peak < 4 << 20
+    pred = predict_orbit(BIG_P, 7, "any")
+    assert pred.period > ORBIT_MAX_STATES
+    expected = {
+        "p": BIG_P,
+        "seed": int(argv[1]),
+        "kind": "dickson2" if "dickson2" in argv else "logistic",
+        "predicted_tail_length": pred.tail_length,
+        "predicted_period": pred.period,
+        "degenerate": pred.degenerate,
+    }
+    if "json" in argv:
+        assert json.loads(out) == expected
+    else:
+        assert out.splitlines() == [f"{key}: {value}" for key, value in expected.items()]
+
+
+def test_orbit_walks_short_orbits_of_large_primes(capsys):
+    # Every orbit mod 2^61 - 1 has a period dividing 60.
+    code, out = run_cli(capsys, "orbit", "--p", "2305843009213693951", "--seed", "1", "--predict")
+    assert code == 0
+    assert "period: 60" in out and "match: True" in out
+
+
+def test_orbit_walk_budget_is_capped_at_the_limit(capsys, monkeypatch):
+    import quadorbit.cli as cli
+
+    monkeypatch.setattr(cli, "ORBIT_MAX_STATES", 100)
+    argv = ["orbit", "--p", "10007", "--seed", "5", "--kind", "logistic-general", "--mu", "3"]
+    code, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert run_cli(capsys, *argv, "--max-steps", "10000")[0] == 1
+    # --max-steps 0 is a budget of zero steps, not a missing budget.
+    assert run_cli(capsys, "orbit", "--p", "23", "--seed", "1", "--max-steps", "0")[0] == 1
 
 
 @pytest.mark.parametrize(

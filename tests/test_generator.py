@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadorbit.errors import BudgetExceededError, DomainError, InvalidFieldError
 from quadorbit.generator import (
@@ -11,15 +13,19 @@ from quadorbit.generator import (
     GeneratorSpec,
     conjugate_seed,
     dickson_eval,
+    in_iv_set,
     logistic_cycle,
     logistic_map,
     logistic_preimages,
+    lucas_order,
     orbit,
     predict_orbit,
     step,
 )
 from quadorbit.ivsets import build_iv_set
-from quadorbit.numtheory import legendre, primes_up_to
+from quadorbit.numtheory import fp2_context, legendre, primes_up_to, sqrt_mod
+
+PROPERTY_PRIMES = [p for p in primes_up_to(10**5) if p > 3]
 
 
 def dickson_brute(e, x, a, p):
@@ -223,3 +229,41 @@ def test_predict_orbit_any_matches_dickson_orbits():
             rep = orbit(GeneratorSpec(kind=KIND_DICKSON, p=p, seed=conjugate_seed(s, p)))
             pred = predict_orbit(p, s, "any")
             assert (pred.tail_length, pred.period) == (rep.tail_length, rep.period), (p, s)
+
+
+def _root_order_by_multiplication(u, p):
+    # A root t = (u + sqrt(u^2 - 4)) / 2 as an F_{p^2} element, multiplied
+    # by itself until it reaches 1.
+    ctx = fp2_context(p)
+    inv2 = (p + 1) // 2
+    disc = (u * u - 4) % p
+    if legendre(disc, p) == -1:
+        t = ctx.elem(u * inv2, sqrt_mod(disc * pow(ctx.non_residue, -1, p), p) * inv2)
+    else:
+        t = ctx.elem((u + sqrt_mod(disc, p)) * inv2)
+    x, n = t, 1
+    while x != ctx.elem(1):
+        x, n = x * t, n + 1
+    return n
+
+
+def test_lucas_order_matches_repeated_multiplication():
+    for p in primes_up_to(150):
+        if p == 2:
+            continue
+        for u in range(p):
+            assert lucas_order(u, p) == _root_order_by_multiplication(u, p), (p, u)
+    assert lucas_order(2, 23) == 1 and lucas_order(21, 23) == 2  # disc 0: t = 1 and t = -1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PROPERTY_PRIMES), st.integers(min_value=0, max_value=10**5))
+def test_predict_orbit_matches_orbit_walk(p, seed):
+    s = seed % p
+    rep = logistic_orbit(p, s)
+    walked = (rep.tail_length, rep.period)
+    pred = predict_orbit(p, s, "any")
+    assert (pred.tail_length, pred.period) == walked
+    if in_iv_set(s, p):
+        pred = predict_orbit(p, s, "iv_set")
+        assert (pred.tail_length, pred.period) == walked

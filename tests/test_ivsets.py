@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadorbit
 from quadorbit.diagram import brute_census, census
 from quadorbit.errors import DegenerateParameterError, DomainError, InvalidFieldError
 from quadorbit.generator import logistic_map
@@ -99,6 +100,12 @@ def test_build_iv_set_rejects_small_p():
         build_iv_set(3)
     with pytest.raises(InvalidFieldError):
         param_kind(9)
+
+
+def test_in_iv_set_rejects_p_that_is_not_a_prime_above_3():
+    for p in (3, 9):
+        with pytest.raises(InvalidFieldError):
+            quadorbit.in_iv_set(1, p)
 
 
 def test_counting_formula():

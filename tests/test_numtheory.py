@@ -5,7 +5,6 @@ import pytest
 from quadorbit.errors import InvalidElementError, InvalidFieldError
 from quadorbit.numtheory import (
     MR_PROVEN_LIMIT,
-    divisors,
     euler_phi,
     factorize,
     fp2_context,
@@ -115,8 +114,7 @@ def test_factorize_reconstructs_and_is_prime():
         assert product == n
 
 
-def test_divisors_and_phi():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+def test_euler_phi():
     assert euler_phi(1) == 1
     for n in range(1, 500):
         assert euler_phi(n) == sum(1 for k in range(1, n + 1) if _gcd(k, n) == 1)
@@ -202,34 +200,22 @@ def test_fp2_norm_multiplicative_and_frobenius():
         x = ctx.elem(rng.randrange(10007), rng.randrange(10007))
         y = ctx.elem(rng.randrange(10007), rng.randrange(10007))
         assert (x * y).norm() == x.norm() * y.norm() % 10007
-        via_frobenius = x * x.frobenius()
+        # The p-power map flips the sign of c1, and x times its image is the norm.
+        via_frobenius = x * ctx.elem(x.c0, -x.c1)
         assert via_frobenius.c1 == 0
         assert via_frobenius.c0 == x.norm()
-        assert x ** ctx.p == x.frobenius()
 
 
-def test_fp2_inverse_and_pow():
+def test_fp2_inverse():
     ctx = fp2_context(23)
     rng = random.Random(5)
     for _ in range(200):
         x = ctx.elem(rng.randrange(23), rng.randrange(23))
         if x.c0 == 0 and x.c1 == 0:
             continue
-        assert x * x.inverse() == ctx.one
-        assert x**-1 == x.inverse()
-        assert x**0 == ctx.one
+        assert x * x.inverse() == ctx.elem(1)
     with pytest.raises(InvalidElementError):
         ctx.elem(0, 0).inverse()
-
-
-def test_fp2_element_order():
-    ctx = fp2_context(17)
-    t = ctx.elem(2, 1)  # norm one, so the order divides p + 1
-    k = ctx.element_order(t, 18)
-    assert t**k == ctx.one
-    assert k == ctx.element_order(t)
-    ctx23 = fp2_context(23)
-    assert ctx23.element_order(ctx23.one) == 1
 
 
 # Published psi_k with the number of bases is_prime uses below each: psi_k is
