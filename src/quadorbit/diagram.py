@@ -24,9 +24,9 @@ from .numtheory import factorize, is_prime, mult_order, prime_flags
 BRUTE_CENSUS_MAX_P = 1 << 24
 
 
-def cycle_modulus(p: int) -> int:
-    """The odd m with p = 2m + 1 (p = 3 mod 4) or p = 2m - 1 (p = 1 mod 4)."""
-    if not is_prime(p) or p <= 3:
+def cycle_modulus(p: int, prime=is_prime) -> int:
+    """The odd m with p = 2m + 1 (p = 3 mod 4) or p = 2m - 1 (p = 1 mod 4); `prime` tests p."""
+    if p <= 3 or not prime(p):
         raise InvalidFieldError(f"{p} is not a prime > 3")
     return (p - 1) // 2 if p % 4 == 3 else (p + 1) // 2
 
@@ -64,26 +64,38 @@ class CycleCensus:
         return counts
 
 
-def _divisor_orders(m: int) -> list[tuple[int, int, int]]:
+def _order_of_2(q: int) -> int:
+    """ord_q(2) for an odd prime q, from the factorization of q - 1."""
+    return mult_order(2, q, factorize(q - 1))
+
+
+def _divisor_orders(m: int, factor=factorize, order_of_2=_order_of_2) -> list[tuple[int, int, int]]:
     """(d, ord_d(2), phi(d)) for every divisor d of odd m, sorted by d.
 
-    m is factored once.  ord_q(2) comes from the factorization of q - 1 and
+    m is factored once by `factor`, and `order_of_2` gives ord_q(2) for each
+    prime q | m; a sweep cell passes its factor table and a memo.  ord_q(2)
     is lifted along q^k: ord_{q^k}(2) is ord_{q^(k-1)}(2) or q times it.  A
     divisor's order is the lcm, and its totient the product, over its prime
     powers (Cohen, A Course in Computational Algebraic Number Theory, 1.4).
     """
     entries = [(1, 1, 1)]
-    for q, e in factorize(m).items():
-        order = mult_order(2, q, factorize(q - 1))
+    for q, e in factor(m).items():
+        order = order_of_2(q)
         power, totient = q, q - 1
-        lifted = []
-        for _ in range(e):
+        lifted = [(power, order, totient)]
+        for _ in range(e - 1):
+            power, totient = power * q, totient * q
             if pow(2, order, power) != 1:
                 order *= q
             lifted.append((power, order, totient))
-            power, totient = power * q, totient * q
         entries += [(d * qk, lcm(o, ok), t * tk) for d, o, t in entries for qk, ok, tk in lifted]
     return sorted(entries)
+
+
+def cycle_period(d: int, order: int) -> int:
+    """Period of the cycles of divisor d > 1 given ord_d(2): the least k with
+    2^k = +-1 mod d, which is half the order exactly when -1 is a power of 2."""
+    return order // 2 if order % 2 == 0 and pow(2, order // 2, d) == d - 1 else order
 
 
 def census(p: int) -> CycleCensus:
@@ -91,8 +103,7 @@ def census(p: int) -> CycleCensus:
     m = cycle_modulus(p)
     rows = []
     for d, order, totient in _divisor_orders(m)[1:]:
-        reachable = order % 2 == 0 and pow(2, order // 2, d) == d - 1
-        period = order // 2 if reachable else order
+        period = cycle_period(d, order)
         rows.append(
             CensusRow(
                 divisor=d,
@@ -100,7 +111,7 @@ def census(p: int) -> CycleCensus:
                 totient=totient,
                 cycles=totient // (2 * period),
                 period=period,
-                minus_one_reachable=reachable,
+                minus_one_reachable=period != order,
             )
         )
     return CycleCensus(p=p, modulus=m, rows=rows)
@@ -136,20 +147,23 @@ class MaximalityReport:
     max_period: int | None
 
 
+def maximal_branch(m: int, order_of_2=_order_of_2) -> str:
+    """Order condition on 2 mod the prime m for a single cycle: full_order
+    (order m - 1), half_order_odd (odd order (m - 1) / 2) or fails."""
+    order = order_of_2(m)
+    return "full_order" if order == m - 1 else "half_order_odd" if order == (m - 1) // 2 and order % 2 else "fails"
+
+
 def is_maximal_prime(p: int) -> MaximalityReport:
     """Test the single-cycle criterion: p = 2*p1 +- 1 with p1 prime, plus
     an order condition on 2 mod p1; the period is then (p1 - 1) / 2."""
     m = cycle_modulus(p)
     if not is_prime(m):
         return MaximalityReport(p=p, is_maximal=False, p1=None, condition_branch="fails", max_period=None)
-    order = mult_order(2, m, factorize(m - 1))
-    if order == m - 1:
-        branch = "full_order"
-    elif order == (m - 1) // 2 and order % 2 == 1:
-        branch = "half_order_odd"
-    else:
-        return MaximalityReport(p=p, is_maximal=False, p1=m, condition_branch="fails", max_period=None)
-    return MaximalityReport(p=p, is_maximal=True, p1=m, condition_branch=branch, max_period=(m - 1) // 2)
+    branch = maximal_branch(m)
+    maximal = branch != "fails"
+    period = (m - 1) // 2 if maximal else None
+    return MaximalityReport(p=p, is_maximal=maximal, p1=m, condition_branch=branch, max_period=period)
 
 
 def two_safe_primes(limit: int) -> list[int]:

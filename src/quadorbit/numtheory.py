@@ -8,11 +8,12 @@ same inputs always produce the same outputs, byte for byte.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from math import gcd
+from math import gcd, isqrt
+from typing import Callable
 
 from .errors import InvalidElementError, InvalidFieldError
 
@@ -94,10 +95,26 @@ def primes_up_to(n: int) -> list[int]:
     return list(compress(range(n + 1), prime_flags(n)))
 
 
-def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes p with lo <= p < hi."""
-    primes = primes_up_to(hi - 1)
-    return primes[bisect_left(primes, lo) :]
+def table_factorizer(n: int) -> Callable[[int], dict[int, int]]:
+    """factorize for every 1 <= k <= n < 2^32, read off one smallest-prime-factor table.
+
+    Entry i of the table is the least prime dividing a composite i, and 0 when
+    i is prime or below 2: each prime q <= sqrt(n), largest first, writes q
+    over its multiples from q^2 on, so the least one is written last.
+    """
+    table = array("H", [0]) * (n + 1)
+    for q in reversed(primes_up_to(isqrt(n))):
+        table[q * q :: q] = array("H", [q]) * len(range(q * q, n + 1, q))
+
+    def factor(k: int) -> dict[int, int]:
+        factors: dict[int, int] = {}
+        while k > 1:
+            q = table[k] or k
+            factors[q] = factors.get(q, 0) + 1
+            k //= q
+        return factors
+
+    return factor
 
 
 def legendre(a: int, p: int) -> int:

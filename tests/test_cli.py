@@ -4,11 +4,11 @@ import tracemalloc
 
 import pytest
 
-from quadorbit.cli import LCP_MAX_TERMS, ORBIT_MAX_STATES, SAMPLE_MAX, main
-from quadorbit.diagram import BRUTE_CENSUS_MAX_P
+from quadorbit.cli import LCP_MAX_TERMS, ORBIT_MAX_STATES, SAMPLE_MAX, _cell_stats, _sampled_primes, main
+from quadorbit.diagram import BRUTE_CENSUS_MAX_P, census, is_maximal_prime
 from quadorbit.generator import predict_orbit
 from quadorbit.ivsets import FIBERS_MAX_P, IV_SET_MAX_P
-from quadorbit.numtheory import MR_PROVEN_LIMIT
+from quadorbit.numtheory import MR_PROVEN_LIMIT, primes_up_to
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +192,58 @@ def test_sweep_budget_truncation(capsys):
     )
     assert code == 0
     assert "# truncated: budget exceeded" in out
+
+
+def test_sweep_budget_cuts_a_cell_short(capsys):
+    # A 22-bit periods cell takes seconds; the budget is checked inside it.
+    argv = ["sweep", "--kind", "periods", "--n-min", "22", "--n-max", "22", "--budget-seconds", "0.5"]
+    start = time.monotonic()
+    code, out = run_cli(capsys, *argv)
+    assert time.monotonic() - start < 3
+    assert code == 0
+    assert "# truncated: budget exceeded" in out
+    assert data_lines(out)[1:] == []
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["truncated"] is True and payload["rows"] == []
+
+
+def _census_stats(p, want_census):
+    """Per-prime sweep stats derived from census() and is_maximal_prime()."""
+    maximal = is_maximal_prime(p).is_maximal
+    if not want_census:
+        return (maximal,)
+    result = census(p)
+    cycles, states = result.cycle_count(), result.state_count()
+    return maximal, cycles, states / cycles, sum(r.cycles * r.period**2 for r in result.rows) / states
+
+
+@pytest.mark.parametrize("want_census", [True, False], ids=["periods", "maximal"])
+def test_cell_stats_match_census_and_maximality(want_census):
+    primes = primes_up_to((1 << 18) - 1)
+    for bits in range(3, 19):
+        for residue in (3, 1):
+            cell = [p for p in primes if p >> (bits - 1) == 1 and p % 4 == residue]
+            assert _cell_stats(bits, residue, want_census, 1, 0, None) == [_census_stats(p, want_census) for p in cell]
+    sampled = _sampled_primes(40, 1, 16, 3)
+    assert _cell_stats(40, 1, want_census, 16, 3, None) == [_census_stats(p, want_census) for p in sampled]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--kind", "periods", "--n-min", "14", "--n-max", "16"],
+        ["sweep", "--kind", "maximal", "--n-min", "25", "--n-max", "25", "--sample", "64", "--format", "json"],
+    ],
+)
+def test_sweep_with_two_jobs_is_byte_identical(tmp_path, monkeypatch, argv):
+    outputs = []
+    for jobs in ("1", "2"):
+        monkeypatch.setenv("QUADORBIT_JOBS", jobs)
+        out = tmp_path / f"jobs{jobs}"
+        assert main(argv + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_json(capsys):
@@ -408,6 +460,14 @@ def test_orbit_walks_short_orbits_of_large_primes(capsys):
     code, out = run_cli(capsys, "orbit", "--p", "2305843009213693951", "--seed", "1", "--predict")
     assert code == 0
     assert "period: 60" in out and "match: True" in out
+
+
+def test_orbit_logistic_general_refuses_large_p_without_max_steps(capsys):
+    argv = ["orbit", "--p", "2305843009213693921", "--seed", "7", "--kind", "logistic-general", "--mu", "3"]
+    start = time.monotonic()
+    assert main(argv) == 1
+    assert time.monotonic() - start < 1
+    assert "--max-steps" in capsys.readouterr().err
 
 
 def test_orbit_walk_budget_is_capped_at_the_limit(capsys, monkeypatch):

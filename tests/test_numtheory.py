@@ -16,6 +16,7 @@ from quadorbit.numtheory import (
     primes_up_to,
     split_two_power,
     sqrt_mod,
+    table_factorizer,
 )
 
 ODD_PRIMES = [p for p in primes_up_to(200) if p > 2]
@@ -296,6 +297,17 @@ def test_factorize_around_the_trial_division_limit():
     }
     for n, expected in cases.items():
         assert factorize(n) == expected, n
+
+
+def test_table_factorizer_matches_factorize():
+    factor = table_factorizer(1 << 23)
+    for n in range(1, (1 << 16) + 1):
+        assert factor(n) == factorize(n), n
+    rng = random.Random(23)
+    for n in [rng.randrange(1 << 16, (1 << 23) + 1) for _ in range(4000)] + [(1 << 23) - 1, 1 << 23]:
+        assert factor(n) == factorize(n), n
+    # Primes in ascending order, as factorize gives them.
+    assert list(factor(2887 * 7 * 3**2 * 2)) == [2, 3, 7, 2887]
 
 
 def _seeded_values(bits, count, seed):
