@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
-from itertools import compress, product
+from itertools import chain, compress, islice, product
 from typing import Iterable
 
 from . import __version__
@@ -44,9 +44,9 @@ from .generator import (
     orbit,
     predict_orbit,
 )
-from .ivsets import KIND_SPLIT, build_iv_set, param_fibers, param_kind
+from .ivsets import KIND_SPLIT, build_iv_set, fiber_table, param_kind
 from .lcp import bound_dickson, bound_quadratic, bound_sqrt, profile_for_seed, verify_profile_bounds
-from .numtheory import MR_PROVEN_LIMIT, factorize, is_prime, mult_order, prime_flags, table_factorizer
+from .numtheory import MR_PROVEN_LIMIT, factorize, fp2_context, is_prime, mult_order, prime_flags, table_factorizer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,6 +72,12 @@ LCP_MAX_TERMS = 12_000
 # Widest sweep cell whose primes is_prime proves: every n-bit prime is below 2^n.
 SWEEP_MAX_BITS = MR_PROVEN_LIMIT.bit_length() - 1
 
+# Largest safeprimes --limit; at it the byte-per-integer sieve takes 10 s and 0.53 GB.
+SAFEPRIMES_MAX_LIMIT = 1 << 28
+
+# Lines per write of _emit: at most about 1 MB of the widest rows (norm-one fibers).
+EMIT_CHUNK = 1 << 14
+
 _JOBS_ENV = "QUADORBIT_JOBS"
 
 
@@ -83,13 +89,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(lines: Iterable[str], out: str | None) -> None:
+    """Write each line and a newline, EMIT_CHUNK lines per write; no lines at all is one empty line."""
+    lines = iter(lines)
+    chunk = list(islice(lines, EMIT_CHUNK)) or [""]
+    with open(out, "w") if out else nullcontext(sys.stdout) as handle:
+        while chunk:
+            handle.write("\n".join(chunk))
+            handle.write("\n")
+            chunk = list(islice(lines, EMIT_CHUNK))
 
 
 def _meta(command: str, pairs: list[tuple[str, object]]) -> list[str]:
@@ -110,12 +118,16 @@ def _json_dump(obj: object) -> list[str]:
     return [json.dumps(obj, indent=2, sort_keys=True)]
 
 
-def _table(command: str, pairs: list[tuple[str, object]], header: list[str], rows: Iterable) -> list[str]:
-    """CSV output: metadata lines, the header row, then one line per row.
+def _csv(row: Iterable) -> str:
+    return ",".join(map(_fmt, row))
 
-    O(p) tables pass rows as a generator, so no row outlives its line.
+
+def _table(command: str, pairs: list[tuple[str, object]], header: list[str], lines: Iterable[str]) -> Iterable[str]:
+    """CSV output: metadata lines, the header row, then the formatted data lines.
+
+    O(p) tables pass their lines as a generator, so no line outlives its chunk.
     """
-    return _meta(command, pairs) + [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
+    return chain(_meta(command, pairs), [",".join(header)], lines)
 
 
 def _predict(spec: GeneratorSpec) -> OrbitPrediction:
@@ -160,7 +172,7 @@ def cmd_orbit(args: argparse.Namespace) -> int:
     else:
         cells = {k: " ".join(map(str, v)) if isinstance(v, list) else _fmt(v) for k, v in payload.items()}
         if args.format == "csv":
-            lines = _table("orbit", [], list(cells), [cells.values()])
+            lines = _table("orbit", [], list(cells), [",".join(cells.values())])
         else:
             lines = [f"{key}: {value}" for key, value in cells.items()]
     _emit(lines, args.out)
@@ -175,27 +187,26 @@ def cmd_ivset(args: argparse.Namespace) -> int:
         pairs: list[tuple[str, object]] = [("p", iv.p), ("kind", iv.kind), ("size", len(iv.elements))]
         if not iv.elements:
             pairs.append(("note", "initial-value set is empty"))
-        lines = _table("ivset", pairs, ["element"], ((a,) for a in iv.elements))
+        lines = _table("ivset", pairs, ["element"], map(str, iv.elements))
     _emit(lines, args.out)
     return EXIT_OK
 
 
 def cmd_fibers(args: argparse.Namespace) -> int:
     kind = param_kind(args.p)
-    fibers = param_fibers(args.p)
     split = kind == KIND_SPLIT
+    # Each branch calls fiber_table itself, so no name keeps the table alive.
     if args.format == "json":
-        data = {str(a): fiber if split else [[t.c0, t.c1] for t in fiber] for a, fiber in fibers.items()}
+        data = {str(a): f if split else [f[i : i + 2] for i in range(0, 8, 2)] for a, f in fiber_table(args.p)}
         lines = _json_dump({"p": args.p, "kind": kind, "fibers": data})
-    elif split:
-        rows = ((a, *fiber) for a, fiber in fibers.items())
-        lines = _table("fibers", [("p", args.p), ("kind", kind)], ["element", "t1", "t2", "t3", "t4"], rows)
     else:
-        ns = next(iter(fibers.values()))[0].ctx.non_residue
-        pairs = [("p", args.p), ("kind", kind), ("extension", f"x^2 - {ns}")]
-        header = ["element"] + [f"t{i}_c{j}" for i in range(1, 5) for j in (0, 1)]
-        rows = ((a, *(c for t in fiber for c in (t.c0, t.c1))) for a, fiber in fibers.items())
-        lines = _table("fibers", pairs, header, rows)
+        pairs: list[tuple[str, object]] = [("p", args.p), ("kind", kind)]
+        cells = [f"t{i}" for i in range(1, 5)]
+        if not split:
+            pairs.append(("extension", f"x^2 - {fp2_context(args.p).non_residue}"))
+            cells = [f"{t}_c{j}" for t in cells for j in (0, 1)]
+        rows = (",".join(map(str, [a, *fiber])) for a, fiber in fiber_table(args.p))
+        lines = _table("fibers", pairs, ["element", *cells], rows)
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -222,20 +233,22 @@ def cmd_census(args: argparse.Namespace) -> int:
             pairs.append(("brute_match", str(match).lower()))
         header = [f.name for f in fields(CensusRow)]
         rows = [[*astuple(r)[:-1], str(r.minus_one_reachable).lower()] for r in result.rows]
-        lines = _table("census", pairs, header, rows)
+        lines = _table("census", pairs, header, map(_csv, rows))
     _emit(lines, args.out)
     return EXIT_OK if match else EXIT_MISMATCH
 
 
 def cmd_safeprimes(args: argparse.Namespace) -> int:
+    if args.limit > SAFEPRIMES_MAX_LIMIT:
+        raise DomainError(f"--limit must be at most {SAFEPRIMES_MAX_LIMIT}, got {args.limit}")
     values = analogous_two_safe_primes(args.limit) if args.analogous else two_safe_primes(args.limit)
     if args.format == "json":
         lines = _json_dump({"limit": args.limit, "analogous": args.analogous, "primes": values})
     elif args.format == "csv":
         pairs = [("limit", args.limit), ("analogous", args.analogous)]
-        lines = _table("safeprimes", pairs, ["p"], [[p] for p in values])
+        lines = _table("safeprimes", pairs, ["p"], map(str, values))
     else:
-        lines = [str(p) for p in values]
+        lines = map(str, values)
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -291,7 +304,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
             payload["bounds_hold"] = holds
         lines = _json_dump(payload)
     else:
-        lines = _table("lcp", pairs, header, rows)
+        lines = _table("lcp", pairs, header, map(_csv, rows))
     _emit(lines, args.out)
     return EXIT_OK if holds else EXIT_BOUND
 
@@ -436,7 +449,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         }
         lines = _json_dump(payload)
     else:
-        lines = _table("sweep", pairs, [f.name for f in fields(SweepRow)], [astuple(row) for row in rows])
+        lines = _table("sweep", pairs, [f.name for f in fields(SweepRow)], (_csv(astuple(row)) for row in rows))
     _emit(lines, args.out)
     return EXIT_OK
 

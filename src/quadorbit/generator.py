@@ -118,16 +118,20 @@ def orbit(spec: GeneratorSpec, max_steps: int | None = None) -> OrbitReport:
     suffice; smaller budgets raise BudgetExceededError if exhausted.
     """
     budget = max_steps if max_steps is not None else spec.p
-    seen = {spec.seed: 0}
-    seq = [spec.seed]
+    p, x = spec.p, spec.seed
+    mu = spec.mu % p if spec.kind == KIND_LOGISTIC_GENERAL else 4
+    # step() inlined as x -> x(ax + b) + c: x^2 - 2, or mu * x * (x + 1) for the logistic kinds.
+    a, b, c = (1, 0, -2) if spec.kind == KIND_DICKSON else (mu, mu, 0)
+    seen = {x: 0}
     for i in range(1, budget + 1):
-        nxt = step(spec, seq[-1])
-        if nxt in seen:
-            start = seen[nxt]
-            return OrbitReport(tail=seq[:start], cycle=seq[start:])
-        seen[nxt] = i
-        seq.append(nxt)
-    raise BudgetExceededError(f"no repeat within {budget} steps from seed {spec.seed} mod {spec.p}")
+        x = (x * (a * x + b) + c) % p
+        if x in seen:
+            break
+        seen[x] = i
+    if len(seen) > budget:  # no repeat: every step added a state
+        raise BudgetExceededError(f"no repeat within {budget} steps from seed {spec.seed} mod {spec.p}")
+    seq, start = list(seen), seen[x]  # insertion order is the walk
+    return OrbitReport(tail=seq[:start], cycle=seq[start:])
 
 
 def logistic_cycle(seed: int, p: int) -> list[int]:
@@ -139,12 +143,12 @@ def logistic_cycle(seed: int, p: int) -> list[int]:
     # logistic_map inlined: this loop runs once per state of the cycle.
     cycle = [seed]
     x = 4 * seed * (seed + 1) % p
-    while x != seed:
+    for _ in range(p):
+        if x == seed:
+            return cycle
         cycle.append(x)
         x = 4 * x * (x + 1) % p
-        if len(cycle) > p:
-            raise AssertionError(f"walk from {seed} mod {p} never returned")
-    return cycle
+    raise AssertionError(f"walk from {seed} mod {p} never returned")
 
 
 def logistic_preimages(a: int, p: int) -> tuple[int, ...]:

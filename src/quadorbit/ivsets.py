@@ -10,7 +10,12 @@ torus) and over the norm-one subgroup of F_{p^2} minus {+-1} in the second.
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
+from operator import and_, gt
+from typing import Iterator
 
 from .errors import DegenerateParameterError, DomainError, InvalidFieldError
 from .generator import in_iv_set, logistic_map, logistic_preimages
@@ -59,20 +64,19 @@ def build_iv_set(p: int) -> IvSet:
     """Exact membership scan over F_p.
 
     A bytearray of square flags is filled from 1 <= x <= (p - 1)/2 (x and
-    p - x share a square), then every a in [1, p - 2] is tested against the
-    flags of a and a + 1.  The table is filled here and nowhere else, so
-    the set stays an independent oracle for the parametrization.
+    p - x share a square), then the flags of every a in [1, p - 2] and of
+    a + 1 are compared pairwise.  The table is filled here and nowhere else,
+    so the set stays an independent oracle for the parametrization.
     """
     kind = param_kind(p)
     check_enumerable(p, IV_SET_MAX_P, "the initial-value set")
     squares = bytearray(p)
     for x in range(1, (p + 1) // 2):
         squares[x * x % p] = 1
-    if kind == KIND_SPLIT:
-        elements = [a for a in range(1, p - 1) if squares[a] and squares[a + 1]]
-    else:
-        elements = [a for a in range(1, p - 1) if squares[a + 1] and not squares[a]]
-    return IvSet(p=p, kind=kind, elements=elements)
+    flags = memoryview(squares)
+    # Split: a and a + 1 are both squares.  Norm one: a + 1 is and a is not.
+    test = map(and_, flags[1:-1], flags[2:]) if kind == KIND_SPLIT else map(gt, flags[2:], flags[1:-1])
+    return IvSet(p=p, kind=kind, elements=list(compress(range(1, p - 1), test)))
 
 
 def _seed_from_split_param(t: int, p: int) -> int:
@@ -113,47 +117,66 @@ def seed_from_param(t: int | Fp2Element, p: int | None = None) -> int:
     return _seed_from_split_param(t, p)
 
 
-def _norm_one_params(p: int) -> list[Fp2Element]:
-    """The norm-one subgroup of F_{p^2}^x minus {+-1}, sorted by (c0, c1).
+def _norm_one_coords(p: int, ns: int) -> Iterator[tuple[int, int]]:
+    """(c0, c1) of the norm-one subgroup of F_{p^2}^x minus {+-1}, in order.
 
     c0 + c1*a has norm one exactly when c1^2 = (c0^2 - 1)/ns.  A table
     roots[x*x % p] = x for 1 <= x <= (p - 1)/2 gives the root min(r, p - r)
     of every nonzero square and 0 for a non-residue, so each c0 costs one
-    lookup and yields (c0, c1) before (c0, p - c1): already in order.
+    lookup and yields (c0, c1) before (c0, p - c1).
     """
-    ctx = fp2_context(p)
-    inv_ns = pow(ctx.non_residue, -1, p)
-    roots = [0] * p
+    inv_ns = pow(ns, -1, p)
+    roots = array("I", [0]) * p
     for x in range(1, (p + 1) // 2):
         roots[x * x % p] = x
-    params = []
     for c0 in range(p):
         c1 = roots[(c0 * c0 - 1) * inv_ns % p]  # 0 for t = +-1 and for non-residues
         if c1:
-            params.append(Fp2Element(c0, c1, ctx))
-            params.append(Fp2Element(c0, p - c1, ctx))
-    return params
+            yield c0, c1
+            yield c0, p - c1
 
 
-def param_fibers(p: int) -> dict[int, list[int] | list[Fp2Element]]:
-    """Map every initial-value element to its four parameter preimages.
+def _norm_one_params(p: int) -> list[Fp2Element]:
+    """The norm-one subgroup of F_{p^2}^x minus {+-1}, sorted by (c0, c1)."""
+    ctx = fp2_context(p)
+    return [Fp2Element(c0, c1, ctx) for c0, c1 in _norm_one_coords(p, ctx.non_residue)]
 
-    Fibers are sorted (ints ascending, extension elements by (c0, c1)) and
-    are closed under t -> -t and t -> 1/t.
+
+def fiber_table(p: int) -> list[tuple[int, list[int]]]:
+    """(a, fiber) for every initial-value element a, ascending: every parameter
+    t goes through t -> ((t - 1/t)/2)^2 and is binned by its image.  A fiber
+    is its four t ascending, or flat c0, c1, c0, c1, ... in (c0, c1) order.
     """
     kind = param_kind(p)
     check_enumerable(p, FIBERS_MAX_P, "the parameter fibers")
-    fibers: dict[int, list] = {}
+    bins: defaultdict[int, list[int]] = defaultdict(list)
     if kind == KIND_SPLIT:
+        # inv[t] = -(p // t) * inv[p % t] with p % t < t: a table, not a pow per t.
+        inv, inv4 = array("I", [0]) * (p - 1), pow(4, -1, p)
+        inv[1] = 1
         for t in range(2, p - 1):
-            fibers.setdefault(_seed_from_split_param(t, p), []).append(t)
+            inv[t] = t_inv = -(p // t) * inv[p % t] % p
+            bins[(t - t_inv) ** 2 * inv4 % p].append(t)
     else:
-        for t in _norm_one_params(p):
-            fibers.setdefault(_seed_from_norm_one_param(t), []).append(t)
-    for a, fiber in fibers.items():
-        if len(fiber) != 4:
-            raise AssertionError(f"fiber of {a} mod {p} has size {len(fiber)}")
-    return dict(sorted(fibers.items()))
+        # On the norm-one group 1/t is the conjugate, so (t - 1/t)/2 = c1*a squares to ns * c1^2.
+        ns = fp2_context(p).non_residue
+        for c0, c1 in _norm_one_coords(p, ns):
+            bins[ns * c1 * c1 % p].extend((c0, c1))
+    width = 4 if kind == KIND_SPLIT else 8
+    for a, fiber in bins.items():
+        if len(fiber) != width:
+            raise AssertionError(f"fiber of {a} mod {p} has {len(fiber) * 4 // width} parameters")
+    return sorted(bins.items())
+
+
+def param_fibers(p: int) -> dict[int, list[int] | list[Fp2Element]]:
+    """fiber_table as a dict, norm-one parameters as Fp2Element: sorted fibers,
+    closed under t -> -t and t -> 1/t."""
+    table = fiber_table(p)
+    if param_kind(p) == KIND_SPLIT:
+        return dict(table)
+    ctx = fp2_context(p)
+    return {a: [Fp2Element(fiber[i], fiber[i + 1], ctx) for i in range(0, 8, 2)] for a, fiber in table}
 
 
 def canonical_param(a: int, p: int) -> int | Fp2Element:

@@ -4,7 +4,17 @@ import tracemalloc
 
 import pytest
 
-from quadorbit.cli import LCP_MAX_TERMS, ORBIT_MAX_STATES, SAMPLE_MAX, _cell_stats, _sampled_primes, main
+from quadorbit.cli import (
+    EMIT_CHUNK,
+    LCP_MAX_TERMS,
+    ORBIT_MAX_STATES,
+    SAFEPRIMES_MAX_LIMIT,
+    SAMPLE_MAX,
+    _cell_stats,
+    _emit,
+    _sampled_primes,
+    main,
+)
 from quadorbit.diagram import BRUTE_CENSUS_MAX_P, census, is_maximal_prime
 from quadorbit.generator import predict_orbit
 from quadorbit.ivsets import FIBERS_MAX_P, IV_SET_MAX_P
@@ -334,6 +344,17 @@ def test_out_writes_file(tmp_path):
     assert "12" in target.read_text()
 
 
+@pytest.mark.parametrize("count", [0, 1, EMIT_CHUNK - 1, EMIT_CHUNK, EMIT_CHUNK + 1, 2 * EMIT_CHUNK + 3])
+def test_emit_writes_every_line_across_chunks(tmp_path, capsys, count):
+    # Lines may come from a generator; no lines at all is one empty line.
+    expected = "\n".join(map(str, range(count))) + "\n"
+    _emit((str(i) for i in range(count)), None)
+    assert capsys.readouterr().out == expected
+    target = tmp_path / "lines.txt"
+    _emit((str(i) for i in range(count)), str(target))
+    assert target.read_text() == expected
+
+
 def test_sweep_rejects_bit_sizes_beyond_proven_primality(capsys):
     from quadorbit.cli import SWEEP_MAX_BITS
     from quadorbit.numtheory import MR_PROVEN_LIMIT
@@ -380,6 +401,17 @@ def test_enumerators_refuse_p_above_their_limit(capsys, argv, limit):
     # The smallest table refused here (2^20 fiber roots) would take 8 MB; the
     # analytic census that `census --brute` runs first takes about 1 MB.
     assert peak < 4 << 20, "a table was allocated before the limit check"
+
+
+@pytest.mark.parametrize("limit", [SAFEPRIMES_MAX_LIMIT + 1, 10**8 * 3, 10**12])
+@pytest.mark.parametrize("flags", [[], ["--analogous"], ["--format", "json"]])
+def test_safeprimes_refuses_limit_above_its_cap(capsys, limit, flags):
+    # At 10^12 the sieve would need a terabyte; the check comes before it.
+    code, peak = _peak_bytes(["safeprimes", "--limit", str(limit), *flags])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert str(SAFEPRIMES_MAX_LIMIT) in captured.err and str(limit) in captured.err
+    assert peak < 4 << 20, "the sieve was allocated before the limit check"
 
 
 @pytest.mark.parametrize(

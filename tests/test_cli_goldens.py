@@ -51,6 +51,15 @@ LARGE_P_GOLDENS = [
     ("census --p 500693 --brute", 0, "1a72e227e302026112d3b83dadffa13f60d8abcbb14f2fd9f8655a2a58e0b084"),
 ]
 
+# Commands with no data rows: text output is one empty line, csv the
+# metadata and header only.
+EMPTY_OUTPUT_GOLDENS = [
+    ("safeprimes --limit 5 --format text", 0, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    ("safeprimes --limit 5 --format csv", 0, "200c38696584aa4a64f81564d2c3d2854a152b3bc3802acbafc8fc89fd3ed0e3"),
+]
+
+ALL_GOLDENS = GOLDENS + LARGE_P_GOLDENS + EMPTY_OUTPUT_GOLDENS
+
 
 def _check_bytes(capsys, command, code, digest):
     assert main(command.split()) == code
@@ -65,3 +74,16 @@ def test_readme_command_bytes(capsys, command, code, digest):
 @pytest.mark.parametrize("command,code,digest", LARGE_P_GOLDENS, ids=[g[0] for g in LARGE_P_GOLDENS])
 def test_large_p_command_bytes(capsys, command, code, digest):
     _check_bytes(capsys, command, code, digest)
+
+
+@pytest.mark.parametrize("command,code,digest", EMPTY_OUTPUT_GOLDENS, ids=[g[0] for g in EMPTY_OUTPUT_GOLDENS])
+def test_empty_output_bytes(capsys, command, code, digest):
+    _check_bytes(capsys, command, code, digest)
+
+
+@pytest.mark.parametrize("command,code,digest", ALL_GOLDENS, ids=[g[0] for g in ALL_GOLDENS])
+def test_out_file_bytes(tmp_path, capsys, command, code, digest):
+    target = tmp_path / "out.txt"
+    assert main(command.split() + ["--out", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest

@@ -267,3 +267,39 @@ def test_predict_orbit_matches_orbit_walk(p, seed):
     if in_iv_set(s, p):
         pred = predict_orbit(p, s, "iv_set")
         assert (pred.tail_length, pred.period) == walked
+
+
+def _walk_on_step(spec, budget):
+    """(tail, cycle) from a first-repeat walk that calls step() per state, or None past the budget."""
+    seq, seen = [spec.seed], {spec.seed: 0}
+    for i in range(1, budget + 1):
+        nxt = step(spec, seq[-1])
+        if nxt in seen:
+            return seq[: seen[nxt]], seq[seen[nxt] :]
+        seen[nxt] = i
+        seq.append(nxt)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([q for q in primes_up_to(2000) if q > 3]),
+    st.sampled_from([KIND_LOGISTIC, KIND_DICKSON, KIND_LOGISTIC_GENERAL]),
+    st.data(),
+)
+def test_orbit_matches_a_walk_on_step(p, kind, data):
+    seed = data.draw(st.integers(min_value=0, max_value=p - 1))
+    mu = data.draw(st.integers(-(10**6), 10**6).filter(lambda m: m % p)) if kind == KIND_LOGISTIC_GENERAL else None
+    spec = GeneratorSpec(kind=kind, p=p, seed=seed, mu=mu)
+    tail, cycle = _walk_on_step(spec, p)
+    rep = orbit(spec)
+    assert (rep.tail, rep.cycle) == (tail, cycle)
+    # The walk needs exactly tail + period steps: one fewer must run out.
+    states = len(tail) + len(cycle)
+    budget = data.draw(st.integers(min_value=0, max_value=states + 2))
+    for steps in (states - 1, states, budget):
+        if _walk_on_step(spec, steps) is None:
+            with pytest.raises(BudgetExceededError):
+                orbit(spec, max_steps=steps)
+        else:
+            assert orbit(spec, max_steps=steps) == rep

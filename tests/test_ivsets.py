@@ -13,6 +13,7 @@ from quadorbit.ivsets import (
     build_iv_set,
     canonical_param,
     conjugation_check,
+    fiber_table,
     in_iv_set,
     param_fibers,
     param_kind,
@@ -76,6 +77,41 @@ def test_norm_one_params_match_brute_force():
         params = _norm_one_params(p)
         assert [(t.c0, t.c1) for t in params] == expected, p
         assert all(t.ctx == ctx for t in params)
+
+
+def _scanned_fibers(p):
+    """Fibers binned one parameter at a time through seed_from_param.
+
+    Norm-one parameters come from a scan over c1 that reads the c0 with
+    c0^2 = 1 + ns * c1^2 off a square map of all of F_p: no shared table.
+    """
+    fibers = {}
+    if param_kind(p) == KIND_SPLIT:
+        for t in range(2, p - 1):
+            fibers.setdefault(seed_from_param(t, p), []).append(t)
+        return fibers
+    ctx = fp2_context(p)
+    roots = {}
+    for x in range(p):
+        roots.setdefault(x * x % p, []).append(x)
+    params = [ctx.elem(c0, c1) for c1 in range(1, p) for c0 in roots.get((1 + ctx.non_residue * c1 * c1) % p, [])]
+    assert len(params) == p - 1  # the norm-one group has p + 1 elements, two of them +-1
+    for t in sorted(params, key=lambda t: (t.c0, t.c1)):
+        fibers.setdefault(seed_from_param(t), []).append((t.c0, t.c1))
+    return fibers
+
+
+def test_fiber_table_matches_a_per_parameter_scan():
+    for p in [q for q in primes_up_to(3000) if q >= 5]:
+        expected = _scanned_fibers(p)
+        table = fiber_table(p)
+        assert [a for a, _ in table] == sorted(expected), p
+        fibers = param_fibers(p)
+        if param_kind(p) == KIND_SPLIT:
+            assert dict(table) == fibers == expected, p
+        else:
+            assert {a: list(zip(f[::2], f[1::2])) for a, f in table} == expected, p
+            assert {a: [(t.c0, t.c1) for t in f] for a, f in fibers.items()} == expected, p
 
 
 @settings(max_examples=100, deadline=None)
