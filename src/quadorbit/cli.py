@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from itertools import chain, compress, islice, product
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from . import __version__
 from .diagram import (
@@ -78,6 +80,11 @@ SAFEPRIMES_MAX_LIMIT = 1 << 28
 # Lines per write of _emit: at most about 1 MB of the widest rows (norm-one fibers).
 EMIT_CHUNK = 1 << 14
 
+# Items per json.dumps call of _json.  On a 2-core x86-64 machine, one call per item took ivset at 2^24 (4.2M ints)
+# to 30 s, and batches of 2^10 norm-one fibers, which outlive the young GC generations, took fibers at 2^20 to
+# 5.7 s against 4.2 s at 2^8.
+JSON_BATCH = 1 << 8
+
 _JOBS_ENV = "QUADORBIT_JOBS"
 
 
@@ -109,25 +116,66 @@ def _meta(command: str, pairs: list[tuple[str, object]]) -> list[str]:
 def _fmt(value: object) -> str:
     if isinstance(value, float):
         return f"{value:.6f}"
+    if isinstance(value, list):
+        return " ".join(map(str, value))
     if value is None:
         return ""
     return str(value)
 
 
-def _json_dump(obj: object) -> list[str]:
-    return [json.dumps(obj, indent=2, sort_keys=True)]
+def _csv(row: dict) -> str:
+    return ",".join(map(_fmt, row.values()))
 
 
-def _csv(row: Iterable) -> str:
-    return ",".join(map(_fmt, row))
+def _json(head: dict, key: str | None, rows: Iterable, item=None) -> Iterator[str]:
+    """The lines of json.dumps(head, indent=2, sort_keys=True) with item(row) of every row (the row itself without
+    an item) in place of the empty head[key].
 
-
-def _table(command: str, pairs: list[tuple[str, object]], header: list[str], lines: Iterable[str]) -> Iterable[str]:
-    """CSV output: metadata lines, the header row, then the formatted data lines.
-
-    O(p) tables pass their lines as a generator, so no line outlives its chunk.
+    Items are written JSON_BATCH at a time: a batch is one json.dumps call indented two more spaces, so only
+    the brackets of the stream and the commas between batches are written here.  For a dict ({}) every row starts
+    with its str key and item(row) is its (key, value) pair; rows are written in key order, as sort_keys=True does.
     """
-    return chain(_meta(command, pairs), [",".join(header)], lines)
+    text = json.dumps(head, indent=2, sort_keys=True)
+    empty = head.get(key)
+    if isinstance(empty, dict):
+        rows = sorted(rows, key=itemgetter(0))
+    items = map(item, rows) if item else iter(rows)
+    batch = list(islice(items, JSON_BATCH))
+    if not batch:
+        yield text
+        return
+    member = f"\n  {json.dumps(key)}: "
+    before, after = text.split(member + json.dumps(empty))
+    opening, closing = json.dumps(empty)
+    yield before + member + opening
+    while batch:
+        lines = json.dumps(dict(batch) if isinstance(empty, dict) else batch, indent=2, sort_keys=True).split("\n")
+        batch = list(islice(items, JSON_BATCH))
+        if batch:
+            lines[-2] += ","
+        yield from ("  " + line for line in lines[1:-1])
+    yield f"  {closing}{after}"
+
+
+def _render(
+    args, head: dict, key: str | None, pairs: list[tuple[str, object]], header: list[str], rows: Iterable,
+    line=_csv, item=None, text: Iterable[str] = (),
+) -> None:
+    """Write the output in args.format: the text lines as given; csv as the pairs as metadata, the header and
+    line(row) of every row; json as _json writes the rows into head[key], or the head alone without a key.  Rows
+    are read once, as the output is written."""
+    if args.format == "text":
+        lines = text
+    elif args.format == "csv":
+        lines = chain(_meta(args.command, pairs), [",".join(header)], map(line, rows))
+    else:
+        lines = _json(head, key, rows if key else (), item)
+    _emit(lines, args.out)
+
+
+def _c0_c1_pairs(row: tuple[str, list[int]]) -> tuple[str, list[list[int]]]:
+    """A norm-one fiber row as its json member: the four parameters as [c0, c1]."""
+    return row[0], [row[1][i : i + 2] for i in range(0, 8, 2)]
 
 
 def _predict(spec: GeneratorSpec) -> OrbitPrediction:
@@ -167,47 +215,34 @@ def cmd_orbit(args: argparse.Namespace) -> int:
         if walk:
             matched = pred.tail_length == rep.tail_length and pred.period == rep.period
             payload["match"] = matched
-    if args.format == "json":
-        lines = _json_dump(payload)
-    else:
-        cells = {k: " ".join(map(str, v)) if isinstance(v, list) else _fmt(v) for k, v in payload.items()}
-        if args.format == "csv":
-            lines = _table("orbit", [], list(cells), [",".join(cells.values())])
-        else:
-            lines = [f"{key}: {value}" for key, value in cells.items()]
-    _emit(lines, args.out)
+    text = (f"{key}: {_fmt(value)}" for key, value in payload.items())
+    _render(args, payload, None, [], list(payload), [payload], text=text)
     return EXIT_OK if matched else EXIT_MISMATCH
 
 
 def cmd_ivset(args: argparse.Namespace) -> int:
     iv = build_iv_set(args.p)
-    if args.format == "json":
-        lines = _json_dump({"p": iv.p, "kind": iv.kind, "elements": iv.elements})
-    else:
-        pairs: list[tuple[str, object]] = [("p", iv.p), ("kind", iv.kind), ("size", len(iv.elements))]
-        if not iv.elements:
-            pairs.append(("note", "initial-value set is empty"))
-        lines = _table("ivset", pairs, ["element"], map(str, iv.elements))
-    _emit(lines, args.out)
+    pairs: list[tuple[str, object]] = [("p", iv.p), ("kind", iv.kind), ("size", len(iv.elements))]
+    if not iv.elements:
+        pairs.append(("note", "initial-value set is empty"))
+    head = {"p": iv.p, "kind": iv.kind, "elements": []}
+    _render(args, head, "elements", pairs, ["element"], iv.elements, str)
     return EXIT_OK
 
 
 def cmd_fibers(args: argparse.Namespace) -> int:
     kind = param_kind(args.p)
-    split = kind == KIND_SPLIT
-    # Each branch calls fiber_table itself, so no name keeps the table alive.
-    if args.format == "json":
-        data = {str(a): f if split else [f[i : i + 2] for i in range(0, 8, 2)] for a, f in fiber_table(args.p)}
-        lines = _json_dump({"p": args.p, "kind": kind, "fibers": data})
-    else:
-        pairs: list[tuple[str, object]] = [("p", args.p), ("kind", kind)]
-        cells = [f"t{i}" for i in range(1, 5)]
-        if not split:
-            pairs.append(("extension", f"x^2 - {fp2_context(args.p).non_residue}"))
-            cells = [f"{t}_c{j}" for t in cells for j in (0, 1)]
-        rows = (",".join(map(str, [a, *fiber])) for a, fiber in fiber_table(args.p))
-        lines = _table("fibers", pairs, ["element", *cells], rows)
-    _emit(lines, args.out)
+    pairs: list[tuple[str, object]] = [("p", args.p), ("kind", kind)]
+    cells = [f"t{i}" for i in range(1, 5)]
+    if kind != KIND_SPLIT:
+        pairs.append(("extension", f"x^2 - {fp2_context(args.p).non_residue}"))
+        cells = [f"{t}_c{j}" for t in cells for j in (0, 1)]
+    rows = ((str(a), fiber) for a, fiber in fiber_table(args.p))
+    head = {"p": args.p, "kind": kind, "fibers": {}}
+    _render(
+        args, head, "fibers", pairs, ["element", *cells], rows,
+        lambda row: ",".join([row[0], *map(str, row[1])]), None if kind == KIND_SPLIT else _c0_c1_pairs,
+    )
     return EXIT_OK
 
 
@@ -215,26 +250,16 @@ def cmd_census(args: argparse.Namespace) -> int:
     result = census(args.p)
     brute = brute_census(args.p) if args.brute else None
     match = brute is None or result.period_counter() == brute
-    if args.format == "json":
-        payload: dict[str, object] = {
-            "p": result.p,
-            "modulus": result.modulus,
-            "rows": [asdict(r) for r in result.rows],
-        }
-        if brute is not None:
-            payload["brute"] = {str(k): v for k, v in sorted(brute.items())}
-            payload["brute_match"] = match
-        lines = _json_dump(payload)
-    else:
-        pairs: list[tuple[str, object]] = [("p", result.p), ("modulus", result.modulus)]
-        if brute is not None:
-            observed = " ".join(f"{period}x{count}" for period, count in sorted(brute.items()))
-            pairs.append(("brute", observed))
-            pairs.append(("brute_match", str(match).lower()))
-        header = [f.name for f in fields(CensusRow)]
-        rows = [[*astuple(r)[:-1], str(r.minus_one_reachable).lower()] for r in result.rows]
-        lines = _table("census", pairs, header, map(_csv, rows))
-    _emit(lines, args.out)
+    pairs: list[tuple[str, object]] = [("p", result.p), ("modulus", result.modulus)]
+    head: dict[str, object] = {"p": result.p, "modulus": result.modulus, "rows": []}
+    if brute is not None:
+        observed = " ".join(f"{period}x{count}" for period, count in sorted(brute.items()))
+        pairs += [("brute", observed), ("brute_match", str(match).lower())]
+        head.update(brute={str(k): v for k, v in sorted(brute.items())}, brute_match=match)
+    _render(
+        args, head, "rows", pairs, [f.name for f in fields(CensusRow)], map(asdict, result.rows),
+        lambda row: _csv({**row, "minus_one_reachable": str(row["minus_one_reachable"]).lower()}),
+    )
     return EXIT_OK if match else EXIT_MISMATCH
 
 
@@ -242,14 +267,9 @@ def cmd_safeprimes(args: argparse.Namespace) -> int:
     if args.limit > SAFEPRIMES_MAX_LIMIT:
         raise DomainError(f"--limit must be at most {SAFEPRIMES_MAX_LIMIT}, got {args.limit}")
     values = analogous_two_safe_primes(args.limit) if args.analogous else two_safe_primes(args.limit)
-    if args.format == "json":
-        lines = _json_dump({"limit": args.limit, "analogous": args.analogous, "primes": values})
-    elif args.format == "csv":
-        pairs = [("limit", args.limit), ("analogous", args.analogous)]
-        lines = _table("safeprimes", pairs, ["p"], map(str, values))
-    else:
-        lines = map(str, values)
-    _emit(lines, args.out)
+    pairs = [("limit", args.limit), ("analogous", args.analogous)]
+    head = {"limit": args.limit, "analogous": args.analogous, "primes": []}
+    _render(args, head, "primes", pairs, ["p"], values, str, text=map(str, values))
     return EXIT_OK
 
 
@@ -282,6 +302,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         ("modulus", m),
         ("linear_complexity", l_s),
     ]
+    head: dict[str, object] = {"p": p, "seed": seed, "period": t, "linear_complexity": l_s, "rows": []}
     header = ["N", "L"]
     rows = [[n, length] for n, length in enumerate(prof.profile, start=1)]
     holds = True
@@ -292,20 +313,8 @@ def cmd_lcp(args: argparse.Namespace) -> int:
             row +=[max(0.0, bound_quadratic(n, t, m)), max(0.0, bound_sqrt(n, l_s)), max(0.0, bound_dickson(n, t, p))]
         pairs.append(("clamping", "negative bound values are printed as 0"))
         pairs.append(("bounds_hold", str(holds).lower()))
-    if args.format == "json":
-        payload: dict[str, object] = {
-            "p": p,
-            "seed": seed,
-            "period": t,
-            "linear_complexity": l_s,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        if args.bounds:
-            payload["bounds_hold"] = holds
-        lines = _json_dump(payload)
-    else:
-        lines = _table("lcp", pairs, header, map(_csv, rows))
-    _emit(lines, args.out)
+        head["bounds_hold"] = holds
+    _render(args, head, "rows", pairs, header, (dict(zip(header, row)) for row in rows))
     return EXIT_OK if holds else EXIT_BOUND
 
 
@@ -410,10 +419,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     if not 1 <= args.sample <= SAMPLE_MAX:
         raise DomainError(f"--sample must be in 1..{SAMPLE_MAX}, got {args.sample}")
+    if args.budget_seconds is not None and not 0 < args.budget_seconds < math.inf:
+        raise DomainError(f"--budget-seconds must be positive and finite, got {args.budget_seconds}")
     residues = {"3mod4": [3], "1mod4": [1], "both": [3, 1]}[args.prime_class]
     want_census = args.kind == "periods"
     jobs = _jobs()
-    deadline = time.monotonic() + args.budget_seconds if args.budget_seconds else None
+    deadline = None if args.budget_seconds is None else time.monotonic() + args.budget_seconds
     rows: list[SweepRow] = []
     truncated = False
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
@@ -440,17 +451,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
     if truncated:
         pairs.append(("truncated", "budget exceeded; output is partial"))
-    if args.format == "json":
-        payload = {
-            "kind": args.kind,
-            "sampling_seed": args.seed,
-            "truncated": truncated,
-            "rows": [asdict(row) for row in rows],
-        }
-        lines = _json_dump(payload)
-    else:
-        lines = _table("sweep", pairs, [f.name for f in fields(SweepRow)], (_csv(astuple(row)) for row in rows))
-    _emit(lines, args.out)
+    head = {"kind": args.kind, "sampling_seed": args.seed, "truncated": truncated, "rows": []}
+    _render(args, head, "rows", pairs, [f.name for f in fields(SweepRow)], map(asdict, rows))
     return EXIT_OK
 
 

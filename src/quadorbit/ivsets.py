@@ -136,12 +136,6 @@ def _norm_one_coords(p: int, ns: int) -> Iterator[tuple[int, int]]:
             yield c0, p - c1
 
 
-def _norm_one_params(p: int) -> list[Fp2Element]:
-    """The norm-one subgroup of F_{p^2}^x minus {+-1}, sorted by (c0, c1)."""
-    ctx = fp2_context(p)
-    return [Fp2Element(c0, c1, ctx) for c0, c1 in _norm_one_coords(p, ctx.non_residue)]
-
-
 def fiber_table(p: int) -> list[tuple[int, list[int]]]:
     """(a, fiber) for every initial-value element a, ascending: every parameter
     t goes through t -> ((t - 1/t)/2)^2 and is binned by its image.  A fiber

@@ -6,12 +6,15 @@ import pytest
 
 from quadorbit.cli import (
     EMIT_CHUNK,
+    JSON_BATCH,
     LCP_MAX_TERMS,
     ORBIT_MAX_STATES,
     SAFEPRIMES_MAX_LIMIT,
     SAMPLE_MAX,
+    _c0_c1_pairs,
     _cell_stats,
     _emit,
+    _json,
     _sampled_primes,
     main,
 )
@@ -330,6 +333,18 @@ def test_sweep_refuses_sample_above_its_cap_before_sampling(capsys, monkeypatch)
         assert captured.out == "" and str(SAMPLE_MAX) in captured.err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1", "nan", "inf"])
+def test_sweep_rejects_budgets_that_are_not_positive_and_finite(capsys, monkeypatch, budget):
+    # 0 used to run with no budget, nan never to stop, -1 to print an empty, truncated table.
+    def never(*args, **kwargs):
+        raise AssertionError("a cell ran before checking --budget-seconds")
+
+    monkeypatch.setattr("quadorbit.cli._cell_stats", never)
+    assert main(["sweep", "--kind", "maximal", "--n-min", "3", "--n-max", "4", "--budget-seconds", budget]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--budget-seconds must be positive and finite" in captured.err
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
 def test_sweep_rejects_bad_jobs_env(capsys, monkeypatch, value):
     monkeypatch.setenv("QUADORBIT_JOBS", value)
@@ -353,6 +368,58 @@ def test_emit_writes_every_line_across_chunks(tmp_path, capsys, count):
     target = tmp_path / "lines.txt"
     _emit((str(i) for i in range(count)), str(target))
     assert target.read_text() == expected
+
+
+HEAD_KEYS = ["a", "m", "z"]  # the streamed key sorts first, in the middle or last among the head keys
+ITEM_COUNTS = [0, 1, 2, JSON_BATCH - 1, JSON_BATCH, JSON_BATCH + 1, 2 * JSON_BATCH + 3]
+
+
+def _head(key, empty):
+    return {"b": 1, "k": "split", "y": 'quote " and \u00e9', "n": None, "t": True, key: empty}
+
+
+@pytest.mark.parametrize("key", HEAD_KEYS)
+@pytest.mark.parametrize("count", ITEM_COUNTS)
+@pytest.mark.parametrize("rows_of", ["ints", "nested dicts"])
+def test_json_writer_matches_json_dumps_for_lists(key, count, rows_of):
+    if rows_of == "ints":
+        rows = list(range(7, 7 + count))
+    else:
+        rows = [{"N": n, "L": [n, {"deep": [None, n / 3]}], "bound": -0.5, "ok": n % 2 == 0} for n in range(count)]
+    expected = json.dumps({**_head(key, []), key: rows}, indent=2, sort_keys=True)
+    assert "\n".join(_json(_head(key, []), key, iter(rows))) == expected
+    # Rows mapped by item, as lcp and sweep records are.
+    assert "\n".join(_json(_head(key, []), key, iter(rows), lambda row: {"v": row})) == json.dumps(
+        {**_head(key, []), key: [{"v": row} for row in rows]}, indent=2, sort_keys=True
+    )
+
+
+@pytest.mark.parametrize("key", HEAD_KEYS)
+@pytest.mark.parametrize("count", ITEM_COUNTS)
+@pytest.mark.parametrize("norm_one", [False, True], ids=["split", "norm_one"])
+def test_json_writer_matches_json_dumps_for_string_keyed_fibers(key, count, norm_one):
+    # Keys 1..count in numeric order, as fiber_table yields them; from 10 on their string order differs.
+    table = [(a, [a, 2 * a, 3 * a, 4 * a] * (2 if norm_one else 1)) for a in range(1, count + 1)]
+    if count >= 10:
+        assert sorted(str(a) for a, _ in table) != [str(a) for a, _ in table]
+    item = _c0_c1_pairs if norm_one else None
+    fibers = dict(item(row) if item else row for row in ((str(a), f) for a, f in table))
+    expected = json.dumps({**_head(key, {}), key: fibers}, indent=2, sort_keys=True)
+    assert "\n".join(_json(_head(key, {}), key, ((str(a), f) for a, f in table), item)) == expected
+
+
+def test_fibers_json_keys_are_in_string_order(capsys):
+    code, out = run_cli(capsys, "fibers", "--p", "17", "--format", "json")
+    assert code == 0 and list(json.loads(out)["fibers"]) == ["12", "14", "3", "7"]
+
+
+def test_fibers_json_peak_is_at_most_twice_the_csv_peak(tmp_path):
+    # The whole-payload JSON took 3.75 times the CSV peak here (48.8 against 13.0 MB).
+    peaks = {}
+    for fmt in ("csv", "json"):
+        code, peaks[fmt] = _peak_bytes(["fibers", "--p", "100829", "--format", fmt, "--out", str(tmp_path / fmt)])
+        assert code == 0
+    assert peaks["json"] <= 2 * peaks["csv"], peaks
 
 
 def test_sweep_rejects_bit_sizes_beyond_proven_primality(capsys):

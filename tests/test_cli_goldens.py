@@ -58,7 +58,18 @@ EMPTY_OUTPUT_GOLDENS = [
     ("safeprimes --limit 5 --format csv", 0, "200c38696584aa4a64f81564d2c3d2854a152b3bc3802acbafc8fc89fd3ed0e3"),
 ]
 
-ALL_GOLDENS = GOLDENS + LARGE_P_GOLDENS + EMPTY_OUTPUT_GOLDENS
+# JSON shapes the lines above leave out: one element, an empty stream, a
+# census without --brute, lcp without --bounds and single fibers.
+JSON_SHAPE_GOLDENS = [
+    ("ivset --p 5 --format json", 0, "48b22bdec11425aefed50cd9b14f76e99654303b82123ca1d66a9d9b313bdc78"),
+    ("safeprimes --limit 5 --format json", 0, "fd335ef7b8ffc975ce8c2b55e8a0260d707d135410496f54e05d9c28d116506d"),
+    ("census --p 17 --format json", 0, "4095e382087914b19dfadcaa99bcf4118195d4dc8c749266c67f74d0a216ba42"),
+    ("lcp --p 23 --seed 1 --format json", 0, "87f495e8335205e1feda297c3004abb1e4d33921eb51b977b979144e67761526"),
+    ("fibers --p 5 --format json", 0, "1373f3616dd00b06f8b502d2478c8e9429925ced3f4e38567c836f450106aead"),
+    ("fibers --p 7 --format json", 0, "34339dc3f4db28bc5d81e7ccdaeb97439382d5113650f07c3b149ef1f506ac67"),
+]
+
+ALL_GOLDENS = GOLDENS + LARGE_P_GOLDENS + EMPTY_OUTPUT_GOLDENS + JSON_SHAPE_GOLDENS
 
 
 def _check_bytes(capsys, command, code, digest):
@@ -78,6 +89,11 @@ def test_large_p_command_bytes(capsys, command, code, digest):
 
 @pytest.mark.parametrize("command,code,digest", EMPTY_OUTPUT_GOLDENS, ids=[g[0] for g in EMPTY_OUTPUT_GOLDENS])
 def test_empty_output_bytes(capsys, command, code, digest):
+    _check_bytes(capsys, command, code, digest)
+
+
+@pytest.mark.parametrize("command,code,digest", JSON_SHAPE_GOLDENS, ids=[g[0] for g in JSON_SHAPE_GOLDENS])
+def test_json_shape_bytes(capsys, command, code, digest):
     _check_bytes(capsys, command, code, digest)
 
 

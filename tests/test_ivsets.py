@@ -9,7 +9,7 @@ from quadorbit.generator import logistic_map
 from quadorbit.ivsets import (
     KIND_NORM_ONE,
     KIND_SPLIT,
-    _norm_one_params,
+    _norm_one_coords,
     build_iv_set,
     canonical_param,
     conjugation_check,
@@ -66,17 +66,14 @@ def test_norm_one_params_match_brute_force():
     for p in primes_up_to(300):
         if p % 4 != 1:
             continue
-        ctx = fp2_context(p)
-        ns = ctx.non_residue
+        ns = fp2_context(p).non_residue
         expected = [
             (c0, c1)
             for c0 in range(p)
             for c1 in range(p)
             if (c0 * c0 - ns * c1 * c1) % p == 1 and (c0, c1) not in ((1, 0), (p - 1, 0))
         ]
-        params = _norm_one_params(p)
-        assert [(t.c0, t.c1) for t in params] == expected, p
-        assert all(t.ctx == ctx for t in params)
+        assert list(_norm_one_coords(p, ns)) == expected, p
 
 
 def _scanned_fibers(p):
