@@ -3,7 +3,8 @@
 Every command writes CSV (tables), plain text, or JSON, chosen with
 --format; output is byte-deterministic for identical flags, including the
 sampling seed of the sweep command.  Exit codes: 0 ok, 1 usage or domain
-error, 2 theory-vs-brute mismatch, 3 bound violation.
+error, 2 theory-vs-brute mismatch, 3 bound violation, 141 (128 + SIGPIPE)
+the reader closed stdout before the output ended.
 """
 
 from __future__ import annotations
@@ -15,13 +16,11 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields
 from functools import partial
 from itertools import chain, compress, islice, product
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import __version__
 from .diagram import (
@@ -54,6 +53,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_BOUND = 3
+EXIT_PIPE = 141
 
 EXHAUSTIVE_MAX_BITS = 24
 
@@ -257,15 +257,15 @@ def cmd_census(args: argparse.Namespace) -> int:
         pairs += [("brute", observed), ("brute_match", str(match).lower())]
         head.update(brute={str(k): v for k, v in sorted(brute.items())}, brute_match=match)
     _render(
-        args, head, "rows", pairs, [f.name for f in fields(CensusRow)], map(asdict, result.rows),
+        args, head, "rows", pairs, CensusRow._fields, map(CensusRow._asdict, result.rows),
         lambda row: _csv({**row, "minus_one_reachable": str(row["minus_one_reachable"]).lower()}),
     )
     return EXIT_OK if match else EXIT_MISMATCH
 
 
 def cmd_safeprimes(args: argparse.Namespace) -> int:
-    if args.limit > SAFEPRIMES_MAX_LIMIT:
-        raise DomainError(f"--limit must be at most {SAFEPRIMES_MAX_LIMIT}, got {args.limit}")
+    if not 0 <= args.limit <= SAFEPRIMES_MAX_LIMIT:
+        raise DomainError(f"--limit must be in 0..{SAFEPRIMES_MAX_LIMIT}, got {args.limit}")
     values = analogous_two_safe_primes(args.limit) if args.analogous else two_safe_primes(args.limit)
     pairs = [("limit", args.limit), ("analogous", args.analogous)]
     head = {"limit": args.limit, "analogous": args.analogous, "primes": []}
@@ -318,8 +318,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
     return EXIT_OK if holds else EXIT_BOUND
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """Per-bit-size aggregate over one prime residue class."""
 
     bit_size: int
@@ -427,6 +426,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     deadline = None if args.budget_seconds is None else time.monotonic() + args.budget_seconds
     rows: list[SweepRow] = []
     truncated = False
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only for a pool: with multiprocessing, most of start-up
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         for bit_size, residue in product(range(args.n_min, args.n_max + 1), residues):
             cell = partial(_cell_stats, bit_size, residue, want_census, args.sample, args.seed, deadline, parts=jobs)
@@ -452,7 +453,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if truncated:
         pairs.append(("truncated", "budget exceeded; output is partial"))
     head = {"kind": args.kind, "sampling_seed": args.seed, "truncated": truncated, "rows": []}
-    _render(args, head, "rows", pairs, [f.name for f in fields(SweepRow)], map(asdict, rows))
+    _render(args, head, "rows", pairs, SweepRow._fields, map(SweepRow._asdict, rows))
     return EXIT_OK
 
 
@@ -530,6 +531,10 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, BudgetExceededError) as exc:
         print(f"quadorbit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader is gone; point stdout at devnull so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 def run() -> None:

@@ -10,8 +10,8 @@ bookkeeping or the brute-force oracle that checks it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import lcm
+from typing import NamedTuple
 
 from .errors import InvalidFieldError
 from .generator import logistic_cycle
@@ -31,8 +31,7 @@ def cycle_modulus(p: int, prime=is_prime) -> int:
     return (p - 1) // 2 if p % 4 == 3 else (p + 1) // 2
 
 
-@dataclass(frozen=True, slots=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     divisor: int
     order_of_2: int
     totient: int
@@ -43,8 +42,7 @@ class CensusRow:
     minus_one_reachable: bool
 
 
-@dataclass(frozen=True)
-class CycleCensus:
+class CycleCensus(NamedTuple):
     """Predicted cycle structure on the initial-value set of F_p."""
 
     p: int
@@ -104,16 +102,8 @@ def census(p: int) -> CycleCensus:
     rows = []
     for d, order, totient in _divisor_orders(m)[1:]:
         period = cycle_period(d, order)
-        rows.append(
-            CensusRow(
-                divisor=d,
-                order_of_2=order,
-                totient=totient,
-                cycles=totient // (2 * period),
-                period=period,
-                minus_one_reachable=period != order,
-            )
-        )
+        cycles = totient // (2 * period)
+        rows.append(CensusRow(d, order, totient, cycles, period, minus_one_reachable=period != order))
     return CycleCensus(p=p, modulus=m, rows=rows)
 
 
@@ -136,8 +126,7 @@ def brute_census(p: int) -> Counter[int]:
     return counts
 
 
-@dataclass(frozen=True, slots=True)
-class MaximalityReport:
+class MaximalityReport(NamedTuple):
     """Whether the whole initial-value set is one logistic cycle."""
 
     p: int

@@ -8,7 +8,7 @@ second, which is what makes the order-based period prediction work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, DomainError, InvalidFieldError
 from .numtheory import factorize, is_prime, legendre, order_up_to_sign, split_two_power, sqrt_mod
@@ -63,26 +63,32 @@ def dickson_eval(e: int, x: int, a: int, p: int) -> int:
     return lo
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorSpec:
-    """Which map to iterate, over which field, from which seed."""
-
+class _SpecFields(NamedTuple):
     kind: str
     p: int
     seed: int
     mu: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown generator kind {self.kind!r}")
-        if not is_prime(self.p) or self.p == 2:
-            raise InvalidFieldError(f"{self.p} is not an odd prime")
-        if self.kind != KIND_DICKSON and self.p <= 3:
-            raise DomainError(f"logistic kinds need p > 3, got p={self.p}")
-        if self.kind == KIND_LOGISTIC_GENERAL:
-            if self.mu is None or self.mu % self.p == 0:
+
+class GeneratorSpec(_SpecFields):
+    """Which map to iterate, over which field, from which seed (stored mod p)."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, p: int, seed: int, mu: int | None = None) -> GeneratorSpec:
+        if kind not in _KINDS:
+            raise DomainError(f"unknown generator kind {kind!r}")
+        if not is_prime(p) or p == 2:
+            raise InvalidFieldError(f"{p} is not an odd prime")
+        if kind != KIND_DICKSON and p <= 3:
+            raise DomainError(f"logistic kinds need p > 3, got p={p}")
+        if kind == KIND_LOGISTIC_GENERAL:
+            if mu is None or mu % p == 0:
                 raise DomainError("logistic_general needs a nonzero control parameter mu")
-        object.__setattr__(self, "seed", self.seed % self.p)
+        return super().__new__(cls, kind, p, seed % p, mu)
+
+    # _replace builds through _make, so both validate too.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def step(spec: GeneratorSpec, s: int) -> int:
@@ -94,8 +100,7 @@ def step(spec: GeneratorSpec, s: int) -> int:
     return logistic_map(s, spec.p, spec.mu % spec.p)
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     """Exact tail and cycle of an iterated-map orbit."""
 
     tail: list[int]
@@ -164,8 +169,7 @@ def logistic_preimages(a: int, p: int) -> tuple[int, ...]:
     return tuple(sorted(((r - 1) * inv2 % p, (-r - 1) * inv2 % p)))
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitPrediction:
+class OrbitPrediction(NamedTuple):
     """Analytically predicted tail length and period for an orbit.
 
     degenerate is set when the underlying parameter has 2-power order

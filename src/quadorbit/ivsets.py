@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from dataclasses import dataclass
 from itertools import compress
 from operator import and_, gt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DegenerateParameterError, DomainError, InvalidFieldError
 from .generator import in_iv_set, logistic_map, logistic_preimages
@@ -47,8 +46,7 @@ def param_kind(p: int) -> str:
     return KIND_SPLIT if p % 4 == 3 else KIND_NORM_ONE
 
 
-@dataclass(frozen=True)
-class IvSet:
+class IvSet(NamedTuple):
     """The initial-value set of F_p, with the parameter space it comes from."""
 
     p: int

@@ -9,11 +9,10 @@ separate so each can check the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DomainError
 from .diagram import cycle_modulus
@@ -179,8 +178,7 @@ def bound_dickson(n: int, period: int, p: int) -> float:
     return min(n * n, 4 * period * period) / (16 * (p + 1)) - math.sqrt(p + 1)
 
 
-@dataclass(frozen=True)
-class LcpProfile:
+class LcpProfile(NamedTuple):
     """Profile L(S,N) for N = 1..n_max plus the stabilized complexity."""
 
     p: int
@@ -217,16 +215,14 @@ def profile_for_seed(p: int, seed: int, n_max: int | None = None) -> LcpProfile:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class BoundViolation:
+class BoundViolation(NamedTuple):
     n: int
     observed: int
     bound: float
     kind: str
 
 
-@dataclass(frozen=True)
-class BoundCheckReport:
+class BoundCheckReport(NamedTuple):
     """Outcome of checking both profile bounds against one seed's profile."""
 
     p: int
@@ -296,13 +292,4 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
                     horizon = far
         if n >= n_max or length >= threshold:
             break
-    return BoundCheckReport(
-        p=p,
-        seed=seed,
-        period=t,
-        modulus=m,
-        linear_complexity=l_s,
-        n_checked=n_max,
-        n_synthesized=n,
-        violations=violations,
-    )
+    return BoundCheckReport(p, seed, t, m, l_s, n_checked=n_max, n_synthesized=n, violations=violations)

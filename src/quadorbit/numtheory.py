@@ -9,11 +9,10 @@ same inputs always produce the same outputs, byte for byte.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import InvalidElementError, InvalidFieldError
 
@@ -306,13 +305,25 @@ def split_two_power(n: int) -> tuple[int, int]:
     return e, n
 
 
-@dataclass(frozen=True, slots=True)
 class Fp2Element:
-    """c0 + c1*a in F_{p^2}, where a is a fixed square root of a non-residue."""
+    """c0 + c1*a in F_{p^2}, where a is a fixed square root of a non-residue; immutable, and not a tuple."""
 
-    c0: int
-    c1: int
-    ctx: "Fp2Context"
+    __slots__ = ("c0", "c1", "ctx")
+
+    def __init__(self, c0: int, c1: int, ctx: Fp2Context) -> None:
+        for name, value in zip(self.__slots__, (c0, c1, ctx)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Fp2Element and (self.c0, self.c1, self.ctx) == (other.c0, other.c1, other.ctx)
+
+    def __hash__(self) -> int:
+        return hash((self.c0, self.c1, self.ctx))
 
     def __neg__(self) -> "Fp2Element":
         p = self.ctx.p
@@ -339,8 +350,7 @@ class Fp2Element:
         return f"({self.c0}+{self.c1}a mod {self.ctx.p})"
 
 
-@dataclass(frozen=True, slots=True)
-class Fp2Context:
+class Fp2Context(NamedTuple):
     """Arithmetic context for F_{p^2} = F_p(a) with a^2 = non_residue."""
 
     p: int

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from quadorbit.cli import (
     EMIT_CHUNK,
+    EXIT_PIPE,
     JSON_BATCH,
     LCP_MAX_TERMS,
     ORBIT_MAX_STATES,
@@ -481,6 +486,23 @@ def test_safeprimes_refuses_limit_above_its_cap(capsys, limit, flags):
     assert peak < 4 << 20, "the sieve was allocated before the limit check"
 
 
+@pytest.mark.parametrize("limit", [-1, -5, -(10**12)])
+def test_safeprimes_rejects_negative_limits(capsys, limit):
+    assert main(["safeprimes", "--limit", str(limit)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"quadorbit: error: --limit must be in 0..{SAFEPRIMES_MAX_LIMIT}, got {limit}\n"
+
+
+@pytest.mark.parametrize("limit", range(11))
+@pytest.mark.parametrize("flags", [[], ["--analogous"], ["--format", "json"]])
+def test_safeprimes_small_limits_are_empty_successes(capsys, limit, flags):
+    # Below 11 (13 with --analogous) there is no such prime: an empty list, not an error.
+    code, out = run_cli(capsys, "safeprimes", "--limit", str(limit), *flags)
+    assert code == 0
+    assert json.loads(out)["primes"] == [] if "json" in flags else out == "\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -605,3 +627,30 @@ def test_census_of_a_61_bit_prime_still_runs(capsys):
     code, out = run_cli(capsys, "census", "--p", "2305843009213693951")
     assert code == 0
     assert "# p: 2305843009213693951" in out
+
+
+def _run_python(*args, **kwargs):
+    """A fresh interpreter on this checkout's src/, writing no bytecode."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_cli_import_loads_no_pool_or_dataclass_machinery():
+    # concurrent.futures (with multiprocessing) is imported only by sweeps with QUADORBIT_JOBS > 1, and the
+    # records are NamedTuples, so start-up pays for neither.
+    heavy = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
+    code = f"import sys, quadorbit.cli; print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+    out, err = _run_python("-S", "-c", code).communicate(timeout=60)
+    assert (out, err) == (b"\n", b"")
+
+
+def test_closed_pipe_exits_quietly_with_its_own_code():
+    # ivset at p = 1000003 writes about 1.7 MB, far more than a pipe holds, so
+    # a write after the reader closes the pipe always fails with EPIPE.
+    proc = _run_python("-m", "quadorbit.cli", "ivset", "--p", "1000003")
+    assert proc.stdout.readline().startswith(b"# quadorbit ")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == EXIT_PIPE == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

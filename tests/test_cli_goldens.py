@@ -52,10 +52,14 @@ LARGE_P_GOLDENS = [
 ]
 
 # Commands with no data rows: text output is one empty line, csv the
-# metadata and header only.
+# metadata and header only.  Every safeprimes limit from 0 to 10 is one.
 EMPTY_OUTPUT_GOLDENS = [
     ("safeprimes --limit 5 --format text", 0, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
     ("safeprimes --limit 5 --format csv", 0, "200c38696584aa4a64f81564d2c3d2854a152b3bc3802acbafc8fc89fd3ed0e3"),
+    ("safeprimes --limit 0 --format csv", 0, "1771cbb5f20426e7eb7e050c30deb1a2c82d48062c144a65c592217db3ee87ce"),
+    ("safeprimes --limit 0 --format json", 0, "11c82a303a607c106e06f9700a314580993436f01bee16e9878e3d0195bfa795"),
+    ("safeprimes --limit 10 --analogous --format csv", 0, "7fd9faae53c9316ad9e298a9c4a3922ae4ea61e567bd75f4957ef9b27508f6e3"),
+    ("safeprimes --limit 10 --format json", 0, "4fc07783e15bbfe65d3e4ca5e7959b2346a0a9ad1663eda2e16c6b17186cb04e"),
 ]
 
 # JSON shapes the lines above leave out: one element, an empty stream, a

@@ -12,7 +12,7 @@ from quadorbit.diagram import (
 )
 from quadorbit.errors import InvalidFieldError
 from quadorbit.ivsets import build_iv_set
-from quadorbit.numtheory import euler_phi, factorize, is_prime, mult_order, primes_up_to
+from quadorbit.numtheory import euler_phi, factorize, is_prime, mult_order, order_up_to_sign, primes_up_to
 
 PRIMES = [p for p in primes_up_to(500) if p > 3]
 
@@ -126,7 +126,8 @@ def _census_primes_for_lifting_oracle():
 
 def test_census_orders_match_direct_per_divisor_computation():
     # census lifts ord_q(2) along prime powers and combines them by lcm; the
-    # oracle computes each divisor's order and totient from scratch.
+    # oracle computes each divisor's order, totient and order up to sign
+    # (the period) from scratch.
     for p in _census_primes_for_lifting_oracle():
         c = census(p)
         divisors = [1]
@@ -136,3 +137,5 @@ def test_census_orders_match_direct_per_divisor_computation():
         for r in c.rows:
             assert r.order_of_2 == mult_order(2, r.divisor), (p, r.divisor)
             assert r.totient == euler_phi(r.divisor), (p, r.divisor)
+            assert r.period == order_up_to_sign(r.divisor), (p, r.divisor)
+            assert r.minus_one_reachable == (r.period != r.order_of_2), (p, r.divisor)
