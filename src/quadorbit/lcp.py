@@ -4,13 +4,18 @@ The profile L(S, N) is synthesized incrementally (Berlekamp-Massey over
 F_p); for a purely periodic sequence the stabilized value is also computed
 independently as T - deg gcd(X^T - 1, s^T(X)), and the two routes are kept
 separate so each can check the other.
+
+The bound verifier examines a seed's profile up to an early stop, and its
+n_synthesized counts those terms whether Berlekamp-Massey synthesized them
+or a number wall certified them: a rotation of a cycle whose Hankel
+determinants H_1..H_J are nonzero has L(S, N) = ceil(N/2) for N <= 2J.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -133,6 +138,12 @@ def _cycle_complexity(cycle: list[int], p: int) -> int:
 # states) fits many times over.
 _walked: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
 WALK_CACHE_STATES = 1 << 15
+# Per cycle of _walked, keyed by (p, first state of the canonical cycle):
+# the depth J of its number wall and each rotation's first zero capped at
+# J + 1 (_walls), or the Berlekamp-Massey work its seeds have cost so far,
+# sum n_synthesized^2 / 4 (_bm_work).  Both are emptied with _walked.
+_walls: dict[tuple[int, int], tuple[int, list[int]]] = {}
+_bm_work: dict[tuple[int, int], int] = {}
 
 
 def _locate_on_cycle(seed: int, p: int) -> tuple[tuple[int, ...], int]:
@@ -152,9 +163,73 @@ def _locate_on_cycle(seed: int, p: int) -> tuple[tuple[int, ...], int]:
     cycle = _canonical(logistic_cycle(seed, p))
     if len(_walked) + len(cycle) > WALK_CACHE_STATES:
         _walked.clear()
+        _walls.clear()
+        _bm_work.clear()
     if len(cycle) <= WALK_CACHE_STATES:
         _walked.update(((p, s), (cycle, i)) for i, s in enumerate(cycle))
     return cycle, cycle.index(seed)
+
+
+def _hankel_det(seq: Sequence[int], n: int, p: int) -> int:
+    """det(seq[a + b]) for 0 <= a, b < n over F_p, by Gaussian elimination."""
+    rows = [list(seq[a : a + n]) for a in range(n)]
+    det = 1
+    while rows:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            return 0
+        pivot = rows.pop(i)  # moving row i to the top takes i transpositions
+        det = (-det if i % 2 else det) * pivot[0] % p
+        inv = pow(pivot[0], -1, p)
+        tail = [y * inv % p for y in pivot[1:]]
+        rows = [[(x - row[0] * y) % p for x, y in zip(row[1:], tail)] for row in rows]
+    return det
+
+
+def _wall_rows(seq: Sequence[int], depth: int, p: int) -> Iterator[list[int]]:
+    """Rows 1..depth of the number wall of seq over F_p.
+
+    Row j holds the Hankel determinants H_j(k) = det(seq[k + a + b]),
+    0 <= a, b < j, for k = 0..len(seq) - 2j + 1.  Below rows H_0 = 1 and
+    H_{-1} = 0, each row follows from the two above it by the
+    Desnanot-Jacobi identity
+        H_{j+1}(k) H_{j-1}(k+2) = H_j(k) H_j(k+2) - H_j(k+1)^2.
+    Where the divisor H_{j-1}(k+2) is 0 and its four neighbours A = H_{j-2}(k+3),
+    B = H_{j-1}(k+1), C = H_{j-1}(k+3), D = H_j(k+1) are not, that zero is
+    isolated and the long cross rule (Lunnon 2001, with Hankel signs)
+        H_{j+1}(k) A^2 = -(H_{j-3}(k+4) D^2 + H_{j-1}(k) C^2 + H_{j-1}(k+4) B^2)
+    gives the entry; inside a larger block of zeros it comes from elimination.
+    """
+    far, near, above, row = [], [0] * len(seq), [1] * len(seq), [s % p for s in seq]
+    inverses = {0: 0}
+    for j in range(1, depth + 1):
+        yield row
+        if j == depth:
+            return
+        div = above[2 : len(row)]
+        inverses.update({e: pow(e, -1, p) for e in set(div) - inverses.keys()})
+        below = [(a * c - b * b) * inverses[e] % p for a, b, c, e in zip(row, row[1:], row[2:], div)]
+        if 0 in div:
+            for k, e in enumerate(div):
+                if e == 0:
+                    a, b, c, d = near[k + 3], above[k + 1], above[k + 3], row[k + 1]
+                    if a and b and c:  # then d = b c / a is nonzero too
+                        frame = far[k + 4] * d * d + above[k] * c * c + above[k + 4] * b * b
+                        below[k] = -frame * pow(a, -2, p) % p
+                    else:
+                        below[k] = _hankel_det(seq[k:], j + 1, p)
+        far, near, above, row = near, above, row, below
+
+
+def _first_zeros(cycle: Sequence[int], depth: int, p: int) -> list[int]:
+    """For each rotation k of a periodic sequence, the least j <= depth with
+    H_j(k) = 0, or depth + 1 when H_1(k)..H_depth(k) are all nonzero."""
+    t = len(cycle)
+    first = [depth + 1] * t
+    seq = (cycle * (2 * depth // t + 2))[: t + 2 * depth - 2]
+    for j, row in enumerate(_wall_rows(seq, depth, p), start=1):
+        first = [f if v or f <= depth else j for f, v in zip(first, row)]
+    return first
 
 
 def bound_quadratic(n: int, period: int, modulus: int) -> float:
@@ -231,7 +306,7 @@ class BoundCheckReport(NamedTuple):
     modulus: int
     linear_complexity: int
     n_checked: int  # the verdict covers N = 1..n_checked
-    n_synthesized: int  # Berlekamp-Massey steps run before the early stop
+    n_synthesized: int  # profile terms examined before the early stop, synthesized or certified
     violations: list[BoundViolation]
 
     @property
@@ -255,11 +330,22 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
     Both bound curves and the profile never decrease in N, which gives two
     shortcuts that leave violations and n_synthesized unchanged:
     - once the profile climbs above the maximum of both curves at n_max,
-      the remaining N are implied and synthesis stops early;
+      the remaining N are implied and the profile is not examined further;
+      n_synthesized counts the terms examined up to that early stop;
     - once L(S,n) meets both curves at N = n, they are evaluated once more
       at the horizon min(2n, n_max).  If L(S,n) meets them there too, no N
       up to the horizon can violate them, and their per-N evaluation is
       skipped up to it.
+
+    On the perfect profile L(S, N) = ceil(N/2) the early stop comes by
+    N = 2J, J = max(1, min(ceil(threshold), ceil(n_max/2))), and a seed has
+    that profile up to 2J exactly when its Hankel determinants H_1..H_J are
+    all nonzero.  Such a seed's terms are certified rather than
+    synthesized; every other seed runs Berlekamp-Massey.  The first zeros
+    of all rotations come from one number wall per cycle (O(T J)), built
+    only once the Berlekamp-Massey work spent on the cycle's seeds,
+    sum n_synthesized^2 / 4, reaches T J, so a single call never pays for
+    one.
     """
     if n_max is not None and n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
@@ -273,12 +359,22 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
     if n_max is None:
         n_max = 2 * t
     l_s = _cycle_complexity_cached(p, cycle)
-    # The first n_max terms of the cycle read from the seed's index onward.
-    seq = (cycle * (-(-n_max // t) + 1))[start : start + n_max]
     threshold = max(bound_quadratic(n_max, t, m), bound_sqrt(n_max, l_s))
+    depth = max(1, min(math.ceil(threshold), -(-n_max // 2)))
+    key = (p, cycle[0])
+    wall_depth, first = _walls.get(key, (0, []))
+    # H_j = 0 for every j > L(S), so no rotation is certified past depth L(S).
+    if wall_depth < depth <= l_s and _bm_work.get(key, 0) >= t * depth:
+        wall_depth, first = _walls[key] = depth, _first_zeros(cycle, depth, p)
+    certified = wall_depth >= depth and first[start] > depth
+    if certified:
+        lengths = ((n + 1) // 2 for n in count(1))
+    else:
+        # The first n_max terms of the cycle read from the seed's index onward.
+        lengths = _bm_steps((cycle * (-(-n_max // t) + 1))[start : start + n_max], p)
     violations = []
     horizon = 0  # no N <= horizon can violate either bound
-    for n, length in enumerate(_bm_steps(seq, p), start=1):
+    for n, length in enumerate(lengths, start=1):
         if n > horizon:
             quad = bound_quadratic(n, t, m)
             if length < quad - BOUND_SLACK:
@@ -292,4 +388,6 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
                     horizon = far
         if n >= n_max or length >= threshold:
             break
+    if not certified and key in _walked:
+        _bm_work[key] = _bm_work.get(key, 0) + n * n // 4
     return BoundCheckReport(p, seed, t, m, l_s, n_checked=n_max, n_synthesized=n, violations=violations)

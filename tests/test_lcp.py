@@ -3,8 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadorbit import lcp
+from quadorbit.cli import main
 from quadorbit.diagram import cycle_modulus, is_maximal_prime
 from quadorbit.errors import DomainError
 from quadorbit.ivsets import build_iv_set
@@ -260,13 +263,115 @@ def test_synthesized_steps_pinned_over_maximal_primes():
     assert digest.hexdigest() == "f563d0d16b4ec7a774c027be58ed9a7304154e0e021635649c2f5d0c126ea279"
 
 
+def _empty_caches(monkeypatch):
+    for store in ("_walked", "_walls", "_bm_work"):
+        monkeypatch.setattr(lcp, store, {})
+
+
 def test_walk_cache_stays_bounded(monkeypatch):
     # IV cycles of 5 (p=23), 11 (p=47) and 89 states (p=359): a cache of 12
     # states is emptied before each new prime, and never holds the last one.
+    # The walls and the BM work go with it: they only ever name kept cycles.
     cases = [(p, a) for p in (23, 47, 359) for a in build_iv_set(p).elements]
     expected = [verify_profile_bounds(p, a) for p, a in cases]
-    monkeypatch.setattr(lcp, "_walked", {})
+    _empty_caches(monkeypatch)
     monkeypatch.setattr(lcp, "WALK_CACHE_STATES", 12)
+    walled = set()
     for (p, a), rep in zip(cases, expected):
         assert verify_profile_bounds(p, a) == rep
         assert len(lcp._walked) <= 12
+        assert all(key in lcp._walked for key in [*lcp._walls, *lcp._bm_work])
+        walled.update(lcp._walls)
+    assert walled
+    assert not lcp._walls and not lcp._bm_work  # the 89-state cycle is never kept
+
+
+def _hankel_dets(seq, j, p):
+    """Row j of the number wall from sympy's exact integer determinants."""
+    from sympy import Matrix
+
+    return [int(Matrix(j, j, lambda a, b: seq[k + a + b]).det()) % p for k in range(len(seq) - 2 * j + 2)]
+
+
+@st.composite
+def periodic_sequences(draw):
+    """(p, one period, wall depth): random periods, short planted periods
+    repeated, and all-zero periods, over primes small enough that zero
+    divisors, and blocks of zeros that need elimination, are common."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    shape = draw(st.sampled_from(["random", "planted", "zero"]))
+    if shape == "zero":
+        cycle = [0] * draw(st.integers(1, 8))
+    elif shape == "planted":
+        cycle = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3)) * draw(st.integers(2, 5))
+    else:
+        cycle = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=12))
+    return p, cycle, draw(st.integers(1, 7))
+
+
+@settings(max_examples=120, deadline=None)
+@given(periodic_sequences())
+def test_number_wall_rows_are_hankel_determinants(case):
+    pytest.importorskip("sympy")
+    p, cycle, depth = case
+    t = len(cycle)
+    seq = (cycle * (2 * depth // t + 2))[: t + 2 * depth - 2]
+    rows = list(lcp._wall_rows(seq, depth, p))
+    assert rows == [_hankel_dets(seq, j, p) for j in range(1, depth + 1)], case
+    first = [next((j for j, row in enumerate(rows, 1) if row[k] == 0), depth + 1) for k in range(t)]
+    assert lcp._first_zeros(cycle, depth, p) == first, case
+
+
+def test_first_zeros_match_perfect_profiles_on_iv_cycles(reference_profiles):
+    # A rotation has L(S,N) = ceil(N/2) for every N <= 2J exactly when its
+    # Hankel determinants H_1..H_J are nonzero, at every depth J up to L(S).
+    walls = {}
+    checked = 0
+    for p, seed, t, profile in reference_profiles:
+        if p >= 400:
+            continue
+        cycle, start = lcp._locate_on_cycle(seed, p)
+        depth = min(t, profile[2 * t - 1])
+        if (p, cycle) not in walls:
+            walls[p, cycle] = lcp._first_zeros(cycle, depth, p)
+        perfect = next((n - 1 for n in range(1, 2 * t + 1) if profile[n - 1] != (n + 1) // 2), 2 * t)
+        assert min(walls[p, cycle][start] - 1, depth) == min(perfect // 2, depth), (p, seed)
+        checked += 1
+    assert checked > 3000 and len(walls) > 100
+
+
+BOUNDS_WINDOW = [p for p in primes_up_to(3200) if p >= 2800 and is_maximal_prime(p).is_maximal]
+
+
+def test_wall_path_reports_equal_berlekamp_massey_reports(monkeypatch):
+    # Every IV seed of the seven maximal primes in [2800, 3200): the reports
+    # with the walls equal those with every seed sent through BM, and all but
+    # a few seeds per cycle (those before the wall pays off, and those
+    # without a perfect profile) are certified by the wall.
+    assert len(BOUNDS_WINDOW) == 7
+    cases = [(p, a) for p in BOUNDS_WINDOW for a in build_iv_set(p).elements]
+    synthesized = []
+    counting = lcp._bm_steps
+    monkeypatch.setattr(lcp, "_bm_steps", lambda seq, p: synthesized.append(p) or counting(seq, p))
+
+    def reports():
+        _empty_caches(monkeypatch)
+        synthesized.clear()
+        return [verify_profile_bounds(p, a) for p, a in cases]
+
+    with_walls = reports()
+    assert len(synthesized) <= 0.05 * len(cases)
+    monkeypatch.setattr(lcp, "_first_zeros", lambda cycle, depth, p: [1] * len(cycle))  # certifies nothing
+    assert reports() == with_walls
+    assert len(synthesized) == len(cases)
+
+
+def test_one_bound_check_builds_no_wall(monkeypatch, tmp_path):
+    # A wall costs O(T J) and pays off only over many seeds of one cycle, so
+    # neither one verify call nor one `lcp --bounds` command builds one.
+    _empty_caches(monkeypatch)
+    p = 6599
+    assert verify_profile_bounds(p, build_iv_set(p).elements[0]).n_synthesized == 297
+    assert lcp._walls == {}
+    assert main(["lcp", "--p", str(p), "--bounds", "--out", str(tmp_path / "lcp.csv")]) == 0
+    assert lcp._walls == {}
