@@ -25,13 +25,11 @@ from typing import Iterable, Iterator, NamedTuple
 from . import __version__
 from .diagram import (
     CensusRow,
-    _divisor_orders,
+    _prime_stats,
     analogous_two_safe_primes,
     brute_census,
     census,
     cycle_modulus,
-    cycle_period,
-    maximal_branch,
     two_safe_primes,
 )
 from .errors import BudgetExceededError, DomainError
@@ -344,23 +342,6 @@ def _sampled_primes(bit_size: int, residue: int, sample: int, seed: int) -> list
         if lo <= candidate < hi and candidate not in found and is_prime(candidate):
             found.add(candidate)
     return sorted(found)
-
-
-def _prime_stats(p: int, want_census: bool, prime, factor, order_of_2) -> tuple:
-    """(maximal,) or (maximal, cycles, mean period per cycle, mean period per
-    seed) of p, summed from the census triples without building rows."""
-    m = cycle_modulus(p, prime)
-    maximal = bool(prime(m)) and maximal_branch(m, order_of_2) != "fails"
-    if not want_census:
-        return (maximal,)
-    cycles = weighted = 0
-    for d, order, totient in _divisor_orders(m, factor, order_of_2)[1:]:
-        period = cycle_period(d, order)
-        count = totient // (2 * period)
-        cycles += count
-        weighted += count * period * period
-    states = (m - 1) // 2  # cycles * period sums to phi(d) / 2 over d | m, d > 1
-    return maximal, cycles, states / cycles, weighted / states
 
 
 def _cell_stats(

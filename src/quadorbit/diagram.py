@@ -3,8 +3,10 @@
 For p = 2m + 1 (p = 3 mod 4) or p = 2m - 1 (p = 1 mod 4), m odd, the state
 diagram restricted to the initial-value set decomposes by the divisors
 d != 1 of m: each contributes phi(d) / (2k) cycles of period k, where k is
-the least exponent with 2^k = +-1 mod d.  Everything here is either that
-bookkeeping or the brute-force oracle that checks it.
+the least exponent with 2^k = +-1 mod d.  k is ord_d(2) / 2 exactly when every
+prime power of d has an order of 2 with the same 2-adic valuation v >= 1, since
+(Z/q^e)^x is cyclic for odd q; otherwise k = ord_d(2).  Everything here is either
+that bookkeeping or the brute-force oracle that checks it.
 """
 
 from __future__ import annotations
@@ -67,18 +69,22 @@ def _order_of_2(q: int) -> int:
     return mult_order(2, q, factorize(q - 1))
 
 
-def _divisor_orders(m: int, factor=factorize, order_of_2=_order_of_2) -> list[tuple[int, int, int]]:
-    """(d, ord_d(2), phi(d)) for every divisor d of odd m, sorted by d.
+def _divisor_cycles(m: int, factor=factorize, order_of_2=_order_of_2) -> list[tuple[int, int, int, int]]:
+    """(d, ord_d(2), phi(d), period) for every divisor d > 1 of odd m, sorted by d.
 
     m is factored once by `factor`, and `order_of_2` gives ord_q(2) for each
     prime q | m; a sweep cell passes its factor table and a memo.  ord_q(2)
-    is lifted along q^k: ord_{q^k}(2) is ord_{q^(k-1)}(2) or q times it.  A
-    divisor's order is the lcm, and its totient the product, over its prime
-    powers (Cohen, A Course in Computational Algebraic Number Theory, 1.4).
+    is lifted along q^k: ord_{q^k}(2) is ord_{q^(k-1)}(2) or q times it, so
+    its 2-adic valuation stays that of ord_q(2).  A divisor's order is the
+    lcm, and its totient the product, over its prime powers (Cohen, A Course
+    in Computational Algebraic Number Theory, 1.4); the or of their orders'
+    lowest set bits is a single bit above 1 exactly when the period is half
+    the order.
     """
-    entries = [(1, 1, 1)]
+    entries = [(1, 1, 1, 0)]
     for q, e in factor(m).items():
         order = order_of_2(q)
+        low = order & -order
         power, totient = q, q - 1
         lifted = [(power, order, totient)]
         for _ in range(e - 1):
@@ -86,24 +92,14 @@ def _divisor_orders(m: int, factor=factorize, order_of_2=_order_of_2) -> list[tu
             if pow(2, order, power) != 1:
                 order *= q
             lifted.append((power, order, totient))
-        entries += [(d * qk, lcm(o, ok), t * tk) for d, o, t in entries for qk, ok, tk in lifted]
-    return sorted(entries)
-
-
-def cycle_period(d: int, order: int) -> int:
-    """Period of the cycles of divisor d > 1 given ord_d(2): the least k with
-    2^k = +-1 mod d, which is half the order exactly when -1 is a power of 2."""
-    return order // 2 if order % 2 == 0 and pow(2, order // 2, d) == d - 1 else order
+        entries += [(d * qk, lcm(o, ok), t * tk, b | low) for d, o, t, b in entries for qk, ok, tk in lifted]
+    return sorted((d, o, t, o // 2 if b == o & -o > 1 else o) for d, o, t, b in entries[1:])
 
 
 def census(p: int) -> CycleCensus:
     """Per-divisor cycle counts and periods, straight from the formulas."""
     m = cycle_modulus(p)
-    rows = []
-    for d, order, totient in _divisor_orders(m)[1:]:
-        period = cycle_period(d, order)
-        cycles = totient // (2 * period)
-        rows.append(CensusRow(d, order, totient, cycles, period, minus_one_reachable=period != order))
+    rows = [CensusRow(d, o, t, t // (2 * k), k, minus_one_reachable=k != o) for d, o, t, k in _divisor_cycles(m)]
     return CycleCensus(p=p, modulus=m, rows=rows)
 
 
@@ -153,6 +149,21 @@ def is_maximal_prime(p: int) -> MaximalityReport:
     maximal = branch != "fails"
     period = (m - 1) // 2 if maximal else None
     return MaximalityReport(p=p, is_maximal=maximal, p1=m, condition_branch=branch, max_period=period)
+
+
+def _prime_stats(p: int, want_census: bool, prime=is_prime, factor=factorize, order_of_2=_order_of_2) -> tuple:
+    """(maximal,) or (maximal, cycles, mean period per cycle, mean period per
+    seed) of p, summed from _divisor_cycles without building census rows."""
+    m = cycle_modulus(p, prime)
+    maximal = bool(prime(m)) and maximal_branch(m, order_of_2) != "fails"
+    if not want_census:
+        return (maximal,)
+    cycles = weighted = 0
+    for _, _, totient, period in _divisor_cycles(m, factor, order_of_2):
+        cycles += totient // (2 * period)
+        weighted += totient * period  # twice cycles * period^2, as 2 * period | totient
+    states = (m - 1) // 2  # cycles * period sums to phi(d) / 2 over d | m, d > 1
+    return maximal, cycles, states / cycles, weighted // 2 / states
 
 
 def two_safe_primes(limit: int) -> list[int]:

@@ -1,12 +1,16 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadorbit.cli import (
     EMIT_CHUNK,
@@ -16,6 +20,7 @@ from quadorbit.cli import (
     ORBIT_MAX_STATES,
     SAFEPRIMES_MAX_LIMIT,
     SAMPLE_MAX,
+    SWEEP_MAX_BITS,
     _c0_c1_pairs,
     _cell_stats,
     _emit,
@@ -336,6 +341,47 @@ def test_sweep_refuses_sample_above_its_cap_before_sampling(capsys, monkeypatch)
         assert main(args + ["--sample", str(sample)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and str(SAMPLE_MAX) in captured.err
+
+
+def _main_in_process(argv):
+    """Exit code of main(argv) run in this process with its output captured; an exception escaping main fails."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    # Output and success go together, and a refusal says why: no silent empty success, no half-written table.
+    assert (code == 1) == (out.getvalue() == "") == err.getvalue().startswith("quadorbit: error: "), argv
+    return code
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-7, 60), st.booleans(), st.sampled_from(["csv", "json"]))
+def test_census_argv_property(p, brute, fmt):
+    # Composites and p <= 3 are refused; every prime from 5 on has a census that brute force confirms.
+    accepted = p > 3 and p in primes_up_to(60)
+    assert _main_in_process(["census", "--p", str(p), "--format", fmt] + ["--brute"] * brute) == (0 if accepted else 1)
+
+
+SWEEP_BIT_EDGES = (2, 3, 4, 25, 26, SWEEP_MAX_BITS - 1, SWEEP_MAX_BITS, SWEEP_MAX_BITS + 1)
+# Ranges a run may accept and finish at once: exhaustive cells of 3-4 bits, or sampled cells of 25-26 bits.
+SMALL_SWEEP_RANGES = [(3, 3), (3, 4), (4, 4), (25, 25), (25, 26), (26, 26)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["maximal", "periods"]),
+    st.one_of(st.sampled_from(SMALL_SWEEP_RANGES), st.tuples(*[st.sampled_from(SWEEP_BIT_EDGES)] * 2)),
+    st.sampled_from(["3mod4", "1mod4", "both"]),
+    st.sampled_from([1, 4, 0, SAMPLE_MAX + 1]),
+    st.one_of(st.sampled_from([None, "30"]), st.sampled_from(["0", "-1", "nan", "inf"])),
+)
+def test_sweep_argv_property(kind, bits, prime_class, sample, budget):
+    n_min, n_max = bits
+    accepted = 3 <= n_min <= n_max <= SWEEP_MAX_BITS and sample in (1, 4) and budget in (None, "30")
+    assume(not accepted or bits in SMALL_SWEEP_RANGES)
+    argv = ["sweep", "--kind", kind, "--n-min", str(n_min), "--n-max", str(n_max), "--class", prime_class]
+    argv += ["--sample", str(sample)] + (["--budget-seconds", budget] if budget else [])
+    assert _main_in_process(argv) == (0 if accepted else 1)
 
 
 @pytest.mark.parametrize("budget", ["0", "-1", "nan", "inf"])

@@ -1,5 +1,6 @@
 """Byte goldens for every README command line, in every format it accepts,
-and for the O(p) enumerators at sizes where a fast path would show.
+for the O(p) enumerators at sizes where a fast path would show, and for the
+README periods sweep in its p = 1 mod 4 class.
 
 The sha256 of stdout and the exit code were recorded from the released
 behaviour (the large-p ones from the per-element Legendre, Tonelli-Shanks
@@ -73,7 +74,13 @@ JSON_SHAPE_GOLDENS = [
     ("fibers --p 7 --format json", 0, "34339dc3f4db28bc5d81e7ccdaeb97439382d5113650f07c3b149ef1f506ac67"),
 ]
 
-ALL_GOLDENS = GOLDENS + LARGE_P_GOLDENS + EMPTY_OUTPUT_GOLDENS + JSON_SHAPE_GOLDENS
+# The README sweep's other residue class: its cycle moduli m = (p + 1) / 2.
+SWEEP_CLASS_GOLDENS = [
+    ("sweep --kind periods --n-min 14 --n-max 18 --class 1mod4 --format csv", 0, "dc48fd76914b705125c1f80402ba87107d30f61f04b747977a3e2d10455a3c47"),
+    ("sweep --kind periods --n-min 14 --n-max 18 --class 1mod4 --format json", 0, "779e724f608c3781b2cb32ce123e485563949d3128c5012db83a0e073a598643"),
+]
+
+ALL_GOLDENS = GOLDENS + LARGE_P_GOLDENS + EMPTY_OUTPUT_GOLDENS + JSON_SHAPE_GOLDENS + SWEEP_CLASS_GOLDENS
 
 
 def _check_bytes(capsys, command, code, digest):
@@ -98,6 +105,11 @@ def test_empty_output_bytes(capsys, command, code, digest):
 
 @pytest.mark.parametrize("command,code,digest", JSON_SHAPE_GOLDENS, ids=[g[0] for g in JSON_SHAPE_GOLDENS])
 def test_json_shape_bytes(capsys, command, code, digest):
+    _check_bytes(capsys, command, code, digest)
+
+
+@pytest.mark.parametrize("command,code,digest", SWEEP_CLASS_GOLDENS, ids=[g[0] for g in SWEEP_CLASS_GOLDENS])
+def test_sweep_class_bytes(capsys, command, code, digest):
     _check_bytes(capsys, command, code, digest)
 
 

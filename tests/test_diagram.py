@@ -3,6 +3,7 @@ import random
 import pytest
 
 from quadorbit.diagram import (
+    _divisor_cycles,
     analogous_two_safe_primes,
     brute_census,
     census,
@@ -139,3 +140,24 @@ def test_census_orders_match_direct_per_divisor_computation():
             assert r.totient == euler_phi(r.divisor), (p, r.divisor)
             assert r.period == order_up_to_sign(r.divisor), (p, r.divisor)
             assert r.minus_one_reachable == (r.period != r.order_of_2), (p, r.divisor)
+
+
+def test_divisor_cycles_match_direct_per_divisor_computation():
+    # Every divisor of every odd m below 2^13, composite m included: the
+    # period read off the 2-adic valuations of the prime-power orders must be
+    # the order up to sign, also where those valuations differ (d = 15: 2 and 4).
+    mixed = set()
+    for m in range(3, 1 << 13, 2):
+        table = _divisor_cycles(m)
+        divisors = [1]
+        for q, k in factorize(m).items():
+            divisors = [d * q**i for d in divisors for i in range(k + 1)]
+        assert [row[0] for row in table] == sorted(divisors)[1:], m
+        for d, order, totient, period in table:
+            assert order == mult_order(2, d), (m, d)
+            assert totient == euler_phi(d), (m, d)
+            assert period == order_up_to_sign(d), (m, d)
+            orders = [mult_order(2, q**k) for q, k in factorize(d).items()]
+            if len({o & -o for o in orders}) > 1:
+                mixed.add(d)
+    assert {15, 35} <= mixed
