@@ -18,7 +18,7 @@ import sys
 import time
 from contextlib import nullcontext
 from functools import partial
-from itertools import chain, compress, islice, product
+from itertools import chain, compress, count, islice, product
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -237,9 +237,10 @@ def cmd_fibers(args: argparse.Namespace) -> int:
         cells = [f"{t}_c{j}" for t in cells for j in (0, 1)]
     rows = ((str(a), fiber) for a, fiber in fiber_table(args.p))
     head = {"p": args.p, "kind": kind, "fibers": {}}
+    template = "%s" + ",%d" * len(cells)
     _render(
         args, head, "fibers", pairs, ["element", *cells], rows,
-        lambda row: ",".join([row[0], *map(str, row[1])]), None if kind == KIND_SPLIT else _c0_c1_pairs,
+        lambda row: template % (row[0], *row[1]), None if kind == KIND_SPLIT else _c0_c1_pairs,
     )
     return EXIT_OK
 
@@ -275,10 +276,8 @@ def cmd_lcp(args: argparse.Namespace) -> int:
     p = args.p
     seed = args.seed
     if seed is None:
-        iv = build_iv_set(p)
-        if not iv.elements:
-            raise DomainError(f"no initial-value elements for p={p}; pass --seed")
-        seed = iv.elements[0]
+        # The smallest initial-value element by Legendre symbols, not from an O(p) table (every prime > 3 has one).
+        seed = next(a for a in count(1) if in_iv_set(a, p))
     if args.bounds and not in_iv_set(seed, p):
         raise DomainError(f"--bounds needs a seed in the initial-value set, got {seed}")
     # Analytic, so a long orbit of a large p is refused before any walk.

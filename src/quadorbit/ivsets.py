@@ -11,10 +11,8 @@ torus) and over the norm-one subgroup of F_{p^2} minus {+-1} in the second.
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
 from itertools import compress
-from operator import and_, gt
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import DegenerateParameterError, DomainError, InvalidFieldError
 from .generator import in_iv_set, logistic_map, logistic_preimages
@@ -27,7 +25,11 @@ KIND_NORM_ONE = "norm_one"
 # within about a minute and a gigabyte.  Fibers hold four parameters per
 # element (extension elements for p = 1 mod 4), hence the lower limit.
 IV_SET_MAX_P = 1 << 24
-FIBERS_MAX_P = 1 << 20
+FIBERS_MAX_P = 1 << 22
+
+# Flags per big-int compare in build_iv_set.  Freeing a block above glibc's 128 KB mmap threshold raises the
+# threshold, and the element list then grows on the heap: ivset at 2^24 peaked at 219 MB against 190 MB.
+SCAN_CHUNK = 1 << 16
 
 
 def check_enumerable(p: int, limit: int, what: str) -> None:
@@ -62,19 +64,24 @@ def build_iv_set(p: int) -> IvSet:
     """Exact membership scan over F_p.
 
     A bytearray of square flags is filled from 1 <= x <= (p - 1)/2 (x and
-    p - x share a square), then the flags of every a in [1, p - 2] and of
-    a + 1 are compared pairwise.  The table is filled here and nowhere else,
-    so the set stays an independent oracle for the parametrization.
+    p - x share a square).  SCAN_CHUNK flags at a time are read as an int f
+    whose byte i flags start + i, so byte i of f & (f >> 8) or (f >> 8) & ~f
+    says whether start + i is an element.  The table is filled here and
+    nowhere else, so the set stays an independent oracle for the
+    parametrization.
     """
     kind = param_kind(p)
     check_enumerable(p, IV_SET_MAX_P, "the initial-value set")
     squares = bytearray(p)
     for x in range(1, (p + 1) // 2):
         squares[x * x % p] = 1
-    flags = memoryview(squares)
-    # Split: a and a + 1 are both squares.  Norm one: a + 1 is and a is not.
-    test = map(and_, flags[1:-1], flags[2:]) if kind == KIND_SPLIT else map(gt, flags[2:], flags[1:-1])
-    return IvSet(p=p, kind=kind, elements=list(compress(range(1, p - 1), test)))
+    elements: list[int] = []
+    for start in range(1, p - 1, SCAN_CHUNK):
+        # Split: a and a + 1 are both squares.  Norm one: a + 1 is and a is not.
+        f = int.from_bytes(squares[start : start + SCAN_CHUNK + 1], "little")
+        test = f & (f >> 8) if kind == KIND_SPLIT else (f >> 8) & ~f
+        elements.extend(compress(range(start, p - 1), test.to_bytes(SCAN_CHUNK, "little")))
+    return IvSet(p=p, kind=kind, elements=elements)
 
 
 def _seed_from_split_param(t: int, p: int) -> int:
@@ -115,50 +122,44 @@ def seed_from_param(t: int | Fp2Element, p: int | None = None) -> int:
     return _seed_from_split_param(t, p)
 
 
-def _norm_one_coords(p: int, ns: int) -> Iterator[tuple[int, int]]:
-    """(c0, c1) of the norm-one subgroup of F_{p^2}^x minus {+-1}, in order.
-
-    c0 + c1*a has norm one exactly when c1^2 = (c0^2 - 1)/ns.  A table
-    roots[x*x % p] = x for 1 <= x <= (p - 1)/2 gives the root min(r, p - r)
-    of every nonzero square and 0 for a non-residue, so each c0 costs one
-    lookup and yields (c0, c1) before (c0, p - c1).
-    """
-    inv_ns = pow(ns, -1, p)
-    roots = array("I", [0]) * p
-    for x in range(1, (p + 1) // 2):
-        roots[x * x % p] = x
-    for c0 in range(p):
-        c1 = roots[(c0 * c0 - 1) * inv_ns % p]  # 0 for t = +-1 and for non-residues
-        if c1:
-            yield c0, c1
-            yield c0, p - c1
-
-
 def fiber_table(p: int) -> list[tuple[int, list[int]]]:
-    """(a, fiber) for every initial-value element a, ascending: every parameter
-    t goes through t -> ((t - 1/t)/2)^2 and is binned by its image.  A fiber
-    is its four t ascending, or flat c0, c1, c0, c1, ... in (c0, c1) order.
+    """(a, fiber) for every initial-value element a, ascending, read off the hyperbola s^2 - r^2 = 1.
+
+    Split: a = r^2 and a + 1 = s^2 give t = s + r with 1/t = s - r, as (s + r)(s - r) = 1, so
+    (t - 1/t)/2 = r squares to a.  The fiber {+-(s + r), +-(s - r)} is lo, hi, p - hi, p - lo, where
+    lo < hi are |s - r| and min(s + r, p - s - r), both below p/2.  Norm one: t = c0 + c1*alpha of
+    norm c0^2 - ns*c1^2 = 1 has 1/t = c0 - c1*alpha, so (t - 1/t)/2 = c1*alpha squares to ns*c1^2 = a
+    and c0^2 = a + 1.  The fiber is c0, c1, c0, p - c1, p - c0, c1, p - c0, p - c1, flat in (c0, c1)
+    order.  r, s, c0 and c1, the roots below p/2, come from one table roots[x*x % p] = x, whose
+    nonzero entries, compared bytewise, list the elements: no forward map, no binning and no sort.
     """
     kind = param_kind(p)
     check_enumerable(p, FIBERS_MAX_P, "the parameter fibers")
-    bins: defaultdict[int, list[int]] = defaultdict(list)
+    roots = array("I", [0]) * p
+    for x in range(1, (p + 1) // 2):
+        roots[x * x % p] = x
+    squares = int.from_bytes(bytes(map(bool, roots)), "little")
+    # Byte a is 1 when a + 1 is a square and a is one too (split) or is not (norm one); byte 0 is a = 0.
+    members = ((squares >> 8) & (squares if kind == KIND_SPLIT else ~squares)).to_bytes(p - 1, "little")
+    del squares
+    elements = compress(range(1, p - 1), memoryview(members)[1:])
+    table = []
     if kind == KIND_SPLIT:
-        # inv[t] = -(p // t) * inv[p % t] with p % t < t: a table, not a pow per t.
-        inv, inv4 = array("I", [0]) * (p - 1), pow(4, -1, p)
-        inv[1] = 1
-        for t in range(2, p - 1):
-            inv[t] = t_inv = -(p // t) * inv[p % t] % p
-            bins[(t - t_inv) ** 2 * inv4 % p].append(t)
+        for a in elements:
+            r, s = roots[a], roots[a + 1]
+            w, u = abs(s - r), min(s + r, p - s - r)
+            lo, hi = (w, u) if w < u else (u, w)
+            if lo != hi:  # four distinct parameters; a fiber left out fails the count below
+                table.append((a, [lo, hi, p - hi, p - lo]))
     else:
-        # On the norm-one group 1/t is the conjugate, so (t - 1/t)/2 = c1*a squares to ns * c1^2.
-        ns = fp2_context(p).non_residue
-        for c0, c1 in _norm_one_coords(p, ns):
-            bins[ns * c1 * c1 % p].extend((c0, c1))
-    width = 4 if kind == KIND_SPLIT else 8
-    for a, fiber in bins.items():
-        if len(fiber) != width:
-            raise AssertionError(f"fiber of {a} mod {p} has {len(fiber) * 4 // width} parameters")
-    return sorted(bins.items())
+        inv_ns = pow(fp2_context(p).non_residue, -1, p)
+        for a in elements:
+            c0, c1 = roots[a + 1], roots[a * inv_ns % p]
+            if c1:  # c0 is nonzero as a + 1 is a square, so the four parameters are distinct
+                table.append((a, [c0, c1, c0, p - c1, p - c0, c1, p - c0, p - c1]))
+    if 4 * len(table) != (p - 3 if kind == KIND_SPLIT else p - 1):
+        raise AssertionError(f"{len(table)} fibers of four distinct parameters do not cover the parameters mod {p}")
+    return table
 
 
 def param_fibers(p: int) -> dict[int, list[int] | list[Fp2Element]]:

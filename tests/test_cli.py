@@ -28,8 +28,8 @@ from quadorbit.cli import (
     _sampled_primes,
     main,
 )
-from quadorbit.diagram import BRUTE_CENSUS_MAX_P, census, is_maximal_prime
-from quadorbit.generator import predict_orbit
+from quadorbit.diagram import BRUTE_CENSUS_MAX_P, brute_census, census, is_maximal_prime
+from quadorbit.generator import in_iv_set, predict_orbit
 from quadorbit.ivsets import FIBERS_MAX_P, IV_SET_MAX_P
 from quadorbit.numtheory import MR_PROVEN_LIMIT, primes_up_to
 
@@ -250,6 +250,25 @@ def test_cell_stats_match_census_and_maximality(want_census):
             assert _cell_stats(bits, residue, want_census, 1, 0, None) == [_census_stats(p, want_census) for p in cell]
     sampled = _sampled_primes(40, 1, 16, 3)
     assert _cell_stats(40, 1, want_census, 16, 3, None) == [_census_stats(p, want_census) for p in sampled]
+
+
+def _brute_stats(p, want_census):
+    """Per-prime sweep stats from the cycles brute_census walks: no census, no divisor table."""
+    counts = brute_census(p)
+    cycles = sum(counts.values())
+    if not want_census:
+        return (cycles == 1,)
+    states = sum(count * period for period, count in counts.items())
+    return cycles == 1, cycles, states / cycles, sum(count * period**2 for period, count in counts.items()) / states
+
+
+@pytest.mark.parametrize("want_census", [True, False], ids=["periods", "maximal"])
+def test_cell_stats_match_brute_census(want_census):
+    primes = primes_up_to((1 << 12) - 1)
+    for bits in range(3, 13):
+        for residue in (3, 1):
+            cell = [p for p in primes if p >> (bits - 1) == 1 and p % 4 == residue]
+            assert _cell_stats(bits, residue, want_census, 1, 0, None) == [_brute_stats(p, want_census) for p in cell]
 
 
 @pytest.mark.parametrize(
@@ -502,21 +521,21 @@ def _peak_bytes(argv):
     [
         (["ivset", "--p", "16777259"], IV_SET_MAX_P),
         (["census", "--p", "16777259", "--brute"], BRUTE_CENSUS_MAX_P),
-        (["fibers", "--p", "1048583"], FIBERS_MAX_P),
-        (["fibers", "--p", "1048589"], FIBERS_MAX_P),
+        (["fibers", "--p", "4194319"], FIBERS_MAX_P),
+        (["fibers", "--p", "4194329"], FIBERS_MAX_P),
         (["ivset", "--p", "2305843009213693951"], IV_SET_MAX_P),
         (["fibers", "--p", "2305843009213693951"], FIBERS_MAX_P),
         (["census", "--p", "2305843009213693951", "--brute"], BRUTE_CENSUS_MAX_P),
     ],
 )
 def test_enumerators_refuse_p_above_their_limit(capsys, argv, limit):
-    # The first primes above 2^24 and 2^20 (p = 3 and 1 mod 4 for fibers), and 2^61 - 1.
-    assert limit in (1 << 24, 1 << 20)
+    # The first primes above 2^24 and 2^22 (p = 3 and 1 mod 4 for fibers), and 2^61 - 1.
+    assert limit in (1 << 24, 1 << 22)
     code, peak = _peak_bytes(argv)
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert str(limit) in captured.err and "`census`" in captured.err and "`orbit --predict`" in captured.err
-    # The smallest table refused here (2^20 fiber roots) would take 8 MB; the
+    # The smallest table refused here (2^22 fiber roots) would take 16 MB; the
     # analytic census that `census --brute` runs first takes about 1 MB.
     assert peak < 4 << 20, "a table was allocated before the limit check"
 
@@ -559,14 +578,28 @@ def test_safeprimes_small_limits_are_empty_successes(capsys, limit, flags):
         ["lcp", "--p", "64007", "--seed", "1", "--n-max", "10"],
         # A 5-state cycle, but more profile terms than the limit.
         ["lcp", "--p", "23", "--seed", "1", "--n-max", str(LCP_MAX_TERMS + 1)],
+        # No --seed: the smallest initial-value element comes from Legendre symbols, not from the whole set
+        # (about 4 s and 192 MB at 16777199, and refused with the enumeration limit above 2^24).
+        ["lcp", "--p", "16777199"],
+        ["lcp", "--p", "2305843009213693921"],
     ],
 )
 def test_lcp_refuses_orbits_and_profiles_above_its_limit(capsys, argv):
+    start = time.perf_counter()
     code, peak = _peak_bytes(argv)
+    assert time.perf_counter() - start < 0.5
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert str(LCP_MAX_TERMS) in captured.err and "`census`" in captured.err and "`orbit --predict`" in captured.err
     assert peak < 4 << 20, "the orbit was walked before the limit check"
+
+
+def test_lcp_default_seed_is_the_smallest_iv_element(capsys):
+    for p in ("23", "17", "2305843009213693951"):
+        seed = next(a for a in range(1, 100) if in_iv_set(a, int(p)))
+        code, out = run_cli(capsys, "lcp", "--p", p)
+        assert code == 0 and f"# seed: {seed}\n" in out
+        assert run_cli(capsys, "lcp", "--p", p, "--seed", str(seed)) == (0, out)
 
 
 def test_lcp_limit_follows_the_predicted_orbit_not_p(capsys):

@@ -9,7 +9,6 @@ from quadorbit.generator import logistic_map
 from quadorbit.ivsets import (
     KIND_NORM_ONE,
     KIND_SPLIT,
-    _norm_one_coords,
     build_iv_set,
     canonical_param,
     conjugation_check,
@@ -20,10 +19,11 @@ from quadorbit.ivsets import (
     preimage_signs,
     seed_from_param,
 )
-from quadorbit.numtheory import fp2_context, legendre, primes_up_to
+from quadorbit.numtheory import fp2_context, legendre, primes_up_to, sqrt_mod
 
 PRIMES = [p for p in primes_up_to(500) if p > 3]
 PROPERTY_PRIMES = [p for p in primes_up_to(30_000) if p > 3]
+WIDE_PRIMES = [p for p in primes_up_to(1 << 17) if p >= 3000]
 
 # Fiber tables for p = 23 (split) and p = 17 (norm-one over x^2 - 3).
 FIBERS_23 = {
@@ -62,6 +62,15 @@ def test_build_iv_set_matches_euler_criterion():
         assert build_iv_set(p).elements == expected, p
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+def test_build_iv_set_is_the_same_for_any_scan_block(monkeypatch, chunk):
+    # Many blocks per prime, so every block edge is crossed; the default block holds all of these primes.
+    expected = {p: build_iv_set(p).elements for p in primes_up_to(700) if p >= 5}
+    monkeypatch.setattr("quadorbit.ivsets.SCAN_CHUNK", chunk)
+    for p, elements in expected.items():
+        assert build_iv_set(p).elements == elements, p
+
+
 def test_norm_one_params_match_brute_force():
     for p in primes_up_to(300):
         if p % 4 != 1:
@@ -73,7 +82,7 @@ def test_norm_one_params_match_brute_force():
             for c1 in range(p)
             if (c0 * c0 - ns * c1 * c1) % p == 1 and (c0, c1) not in ((1, 0), (p - 1, 0))
         ]
-        assert list(_norm_one_coords(p, ns)) == expected, p
+        assert sorted(pair for _, f in fiber_table(p) for pair in zip(f[::2], f[1::2])) == expected, p
 
 
 def _scanned_fibers(p):
@@ -109,6 +118,26 @@ def test_fiber_table_matches_a_per_parameter_scan():
         else:
             assert {a: list(zip(f[::2], f[1::2])) for a, f in table} == expected, p
             assert {a: [(t.c0, t.c1) for t in f] for a, f in fibers.items()} == expected, p
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(WIDE_PRIMES), st.randoms(use_true_random=False))
+def test_sampled_parameters_land_in_the_fiber_that_lists_them(p, rng):
+    fibers = dict(fiber_table(p))
+    assert list(fibers) == build_iv_set(p).elements
+    ctx = fp2_context(p)
+    for _ in range(16):
+        if param_kind(p) == KIND_SPLIT:
+            t = rng.randrange(2, p - 1)
+            assert t in fibers[seed_from_param(t, p)], (p, t)
+            continue
+        # A norm-one parameter: c0^2 = 1 + ns * c1^2, solved with sqrt_mod, not with the fiber table.
+        c1 = rng.randrange(1, p)
+        while legendre(1 + ctx.non_residue * c1 * c1, p) != 1:
+            c1 = rng.randrange(1, p)
+        c0 = sqrt_mod((1 + ctx.non_residue * c1 * c1) % p, p) * rng.choice((1, -1)) % p
+        fiber = fibers[seed_from_param(ctx.elem(c0, c1))]
+        assert (c0, c1) in zip(fiber[::2], fiber[1::2]), (p, c0, c1)
 
 
 @settings(max_examples=100, deadline=None)
