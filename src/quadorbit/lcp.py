@@ -3,7 +3,10 @@
 The profile L(S, N) is synthesized incrementally (Berlekamp-Massey over
 F_p); for a purely periodic sequence the stabilized value is also computed
 independently as T - deg gcd(X^T - 1, s^T(X)), and the two routes are kept
-separate so each can check the other.
+separate so each can check the other.  The gcd runs Euclid on packed
+polynomials: one int per polynomial, a fixed-width slot per coefficient,
+so each step is a few big-int operations rather than a loop over
+coefficients.
 
 The bound verifier examines a seed's profile up to an early stop, and its
 n_synthesized counts those terms whether Berlekamp-Massey synthesized them
@@ -77,37 +80,52 @@ def berlekamp_massey_profile(seq: Iterable[int], p: int, n_max: int | None = Non
     return list(islice(_bm_steps(data, p), n_max))
 
 
-def _poly_divmod_degree(u: list[int], v: list[int], p: int) -> list[int]:
-    """Remainder of u by v over F_p; u and v are coefficient lists, v != 0."""
-    r = u[:]
-    dv = len(v) - 1
-    inv_lead = pow(v[-1], -1, p)
-    for i in range(len(r) - 1, dv - 1, -1):
-        q = r[i] * inv_lead % p
-        if q:
-            lo = i - dv
-            r[lo : i + 1] = [(a - q * b) % p for a, b in zip(r[lo : i + 1], v)]
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
 def linear_complexity_via_gcd(cycle: list[int], p: int) -> int:
     """L(S) of the T-periodic sequence with one period given by cycle.
 
     Computed as T - deg gcd(X^T - 1, s^T(X)) by polynomial Euclid over F_p.
     An all-zero cycle gives 0.
+
+    Each polynomial is packed into one int, coefficient i in bits
+    [w i, w (i + 1)) (Kronecker substitution), so a Euclid step is a few
+    big-int operations on every slot at once.  With k = bits(p):
+    - elimination adds c X^(du - dv) v to u, c = -lead(u) / lead(v) mod p
+      in [1, p - 1], which zeroes lead(u) mod p.  Slots are below 2p
+      before, so below 2p + (p - 1)(2p - 1) < 2p^2 < 2^b, b = 2k + 1, after:
+      all terms are nonnegative and no slot carries into the next;
+    - a Barrett step on all slots, q = (u M >> b) & low, M = floor(2^b / p),
+      low the bottom w - b bits of each slot, and u -= p q, brings every
+      slot back below 2p and never below 0.  Each slot * M < 2p 2^b <=
+      2^w, w = b + k + 1, so no product spills into the next slot;
+    - the top slot, and below it any slots that are 0 mod p, are masked
+      off.  Every slot above the one read is 0 mod p, so (u >> w du) % p
+      reads slot du exactly; after the mask, the top slot of u is its
+      leading coefficient and the zero polynomial is the int 0.
+    b and w are the least widths that keep these bounds for every k-bit p.
     """
     t = len(cycle)
     if t == 0:
         raise DomainError("cycle must be nonempty")
-    u = [(-1) % p] + [0] * (t - 1) + [1]
-    v = [c % p for c in cycle]
-    while v and v[-1] == 0:
-        v.pop()
+    k = p.bit_length()
+    b = 2 * k + 1
+    w = b + k + 1
+    m = (1 << b) // p
+    low = int(("0" * b + "1" * (w - b)) * (t + 1), 2)  # the low w - b bits of every slot
+    u = (1 << w * t) + p - 1
+    v = int("".join(format(c % p, f"0{w}b") for c in reversed(cycle)), 2)
     while v:
-        u, v = v, _poly_divmod_degree(u, v, p)
-    return t - (len(u) - 1)
+        dv = (v.bit_length() - 1) // w
+        neg_inv = -pow(v >> w * dv, -1, p)
+        du = (u.bit_length() - 1) // w
+        while du >= dv:
+            u += ((u >> w * du) * neg_inv % p) * (v << w * (du - dv))
+            u -= p * ((u * m >> b) & low)
+            du -= 1
+            while du >= 0 and not (u >> w * du) % p:
+                du -= 1
+            u &= (1 << w * (du + 1)) - 1
+        u, v = v, u
+    return t - (u.bit_length() - 1) // w
 
 
 @lru_cache(maxsize=64)

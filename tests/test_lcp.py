@@ -21,7 +21,8 @@ from quadorbit.lcp import (
     profile_for_seed,
     verify_profile_bounds,
 )
-from quadorbit.numtheory import primes_up_to
+from quadorbit.generator import logistic_cycle
+from quadorbit.numtheory import is_prime, primes_up_to
 
 SMALL_PRIMES = [p for p in primes_up_to(100) if p > 2]
 
@@ -76,6 +77,93 @@ def test_synthesis_matches_gcd_on_random_periodic_sequences():
         cycle = [rng.randrange(p) for _ in range(period)]
         via_bm = berlekamp_massey_profile(cycle * 2, p)[-1]
         assert via_bm == linear_complexity_via_gcd(cycle, p), (p, cycle)
+
+
+def _poly_divmod_degree(u: list[int], v: list[int], p: int) -> list[int]:
+    """Remainder of u by v over F_p; u and v are coefficient lists, v != 0."""
+    r = u[:]
+    dv = len(v) - 1
+    inv_lead = pow(v[-1], -1, p)
+    for i in range(len(r) - 1, dv - 1, -1):
+        q = r[i] * inv_lead % p
+        if q:
+            lo = i - dv
+            r[lo : i + 1] = [(a - q * b) % p for a, b in zip(r[lo : i + 1], v)]
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _list_euclid_complexity(cycle, p):
+    """T - deg gcd(X^T - 1, s^T(X)) by Euclid on coefficient lists, the
+    reference for the packed Euclid of linear_complexity_via_gcd."""
+    t = len(cycle)
+    u = [(-1) % p] + [0] * (t - 1) + [1]
+    v = [c % p for c in cycle]
+    while v and v[-1] == 0:
+        v.pop()
+    while v:
+        u, v = v, _poly_divmod_degree(u, v, p)
+    return t - (len(u) - 1)
+
+
+REFERENCE_GCD_PRIMES = [p for p in primes_up_to(1000) if p > 3]
+
+
+def test_gcd_route_matches_list_euclid_on_iv_cycles():
+    # 926 distinct cycles, each in its rotation from its least state.
+    cycles = {
+        (p, lcp._canonical(logistic_cycle(a, p))) for p in REFERENCE_GCD_PRIMES for a in build_iv_set(p).elements
+    }
+    assert len(cycles) == 926
+    for p, cycle in cycles:
+        assert linear_complexity_via_gcd(list(cycle), p) == _list_euclid_complexity(cycle, p), (p, cycle)
+
+
+def _test_cycle(rng, p, shape, t):
+    """One period of length t: random, a planted period d | t, all zero,
+    all p - 1, constant, or sparse (long runs of zeros, so remainder
+    degrees drop by more than one and quotients have degree > 1)."""
+    if shape == "planted":
+        d = rng.choice([d for d in range(1, t + 1) if t % d == 0])
+        return [rng.randrange(p) for _ in range(d)] * (t // d)
+    if shape == "sparse":
+        return [rng.randrange(p) if rng.random() < 0.15 else 0 for _ in range(t)]
+    fill = {"zero": 0, "top": p - 1, "constant": rng.randrange(p)}.get(shape)
+    return [rng.randrange(p) if fill is None else fill for _ in range(t)]
+
+
+SHAPES = ("random", "planted", "zero", "top", "constant", "sparse")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2999, 65537, 2**31 - 1, 2**61 - 1])
+def test_gcd_route_matches_list_euclid_on_shaped_sequences(p):
+    rng = random.Random(p)
+    for shape in SHAPES:
+        for t in [1, 2, 3, 12, *rng.sample(range(4, 120), 12)]:
+            cycle = _test_cycle(rng, p, shape, t)
+            assert linear_complexity_via_gcd(cycle, p) == _list_euclid_complexity(cycle, p), (p, shape, cycle)
+
+
+@st.composite
+def primes_of_every_bit_length(draw):
+    """A prime of k bits for k = 2..62: the first prime from a drawn k-bit
+    start, wrapping round to 2^(k-1)."""
+    k = draw(st.integers(2, 62))
+    x = draw(st.integers(1 << (k - 1), (1 << k) - 1))
+    while not is_prime(x):
+        x = x + 1 if x + 1 < 1 << k else 1 << (k - 1)
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(primes_of_every_bit_length(), st.sampled_from(SHAPES), st.integers(1, 80), st.randoms(use_true_random=False))
+def test_gcd_route_matches_list_euclid_at_every_slot_width(p, shape, t, rng):
+    # The slot widths are derived from bits(p), so p of every bit length
+    # from 2 to 62 is drawn, with cycles whose remainder sequences are
+    # abnormal (constant and planted-period cycles have large gcds).
+    cycle = _test_cycle(rng, p, shape, t)
+    assert linear_complexity_via_gcd(cycle, p) == _list_euclid_complexity(cycle, p), (p, shape, cycle)
 
 
 def test_profile_for_seed_examples():
