@@ -17,7 +17,6 @@ import random
 import sys
 import time
 from contextlib import nullcontext
-from functools import partial
 from itertools import chain, compress, count, islice, product
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -82,8 +81,6 @@ EMIT_CHUNK = 1 << 14
 # to 30 s, and batches of 2^10 norm-one fibers, which outlive the young GC generations, took fibers at 2^20 to
 # 5.7 s against 4.2 s at 2^8.
 JSON_BATCH = 1 << 8
-
-_JOBS_ENV = "QUADORBIT_JOBS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -332,11 +329,13 @@ def _sampling_rng(seed: int, bit_size: int, residue: int) -> random.Random:
     return random.Random((seed * 1000003 + bit_size) * 4 + residue)
 
 
-def _sampled_primes(bit_size: int, residue: int, sample: int, seed: int) -> list[int]:
+def _sampled_primes(bit_size: int, residue: int, sample: int, seed: int, deadline: float | None) -> list[int] | None:
     lo, hi = 1 << (bit_size - 1), 1 << bit_size
     rng = _sampling_rng(seed, bit_size, residue)
     found: set[int] = set()
     while len(found) < sample:
+        if deadline is not None and time.monotonic() > deadline:
+            return None
         candidate = rng.randrange(lo // 4, hi // 4) * 4 + residue
         if lo <= candidate < hi and candidate not in found and is_prime(candidate):
             found.add(candidate)
@@ -344,24 +343,24 @@ def _sampled_primes(bit_size: int, residue: int, sample: int, seed: int) -> list
 
 
 def _cell_stats(
-    bit_size: int, residue: int, want_census: bool, sample: int, seed: int, deadline: float | None, part=0, parts=1
+    bit_size: int, residue: int, want_census: bool, sample: int, seed: int, deadline: float | None
 ) -> list[tuple] | None:
-    """_prime_stats of run `part` of `parts` runs of a cell's primes, in order, or None once the deadline passes
-    (checked before every prime: 0.1 against about 25 microseconds of work per prime at 22 bits).
+    """_prime_stats of every prime of a cell, in order, or None once the deadline passes (checked while a sampled
+    cell draws its primes, and before every prime: 0.1 against about 25 microseconds of work per prime at 22 bits).
 
     An exhaustive cell lists p and tests m with one sieve up to 2^n and factors every m, m - 1 and q - 1 from one
     table up to 2^(n-1) + 1; a sampled cell uses is_prime and factorize.  ord_q(2) is memoized for the cell.
     """
     if bit_size > EXHAUSTIVE_MAX_BITS:
-        primes = _sampled_primes(bit_size, residue, sample, seed)
+        primes = _sampled_primes(bit_size, residue, sample, seed, deadline)
+        if primes is None:
+            return None
         prime, factor = is_prime, factorize
     else:
         flags = prime_flags((1 << bit_size) - 1)
         start = (1 << (bit_size - 1)) + residue  # 2^(n-1) = 0 mod 4 for n >= 3
         primes = list(compress(range(start, 1 << bit_size, 4), flags[start::4]))
         prime, factor = flags.__getitem__, table_factorizer((1 << (bit_size - 1)) + 1)
-    size = -(-len(primes) // parts)
-    primes = primes[part * size : (part + 1) * size]
     orders: dict[int, int] = {}
 
     def order_of_2(q: int) -> int:
@@ -377,18 +376,6 @@ def _cell_stats(
     return stats
 
 
-def _jobs() -> int:
-    """Worker processes for sweeps, from the environment (default 1)."""
-    raw = os.environ.get(_JOBS_ENV, "1")
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise DomainError(f"{_JOBS_ENV} must be a positive integer, got {raw!r}")
-    return jobs
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     if not 3 <= args.n_min <= args.n_max:
         raise DomainError(f"need 3 <= n_min <= n_max, got {args.n_min}..{args.n_max}")
@@ -402,25 +389,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise DomainError(f"--budget-seconds must be positive and finite, got {args.budget_seconds}")
     residues = {"3mod4": [3], "1mod4": [1], "both": [3, 1]}[args.prime_class]
     want_census = args.kind == "periods"
-    jobs = _jobs()
     deadline = None if args.budget_seconds is None else time.monotonic() + args.budget_seconds
     rows: list[SweepRow] = []
     truncated = False
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only for a pool: with multiprocessing, most of start-up
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        for bit_size, residue in product(range(args.n_min, args.n_max + 1), residues):
-            cell = partial(_cell_stats, bit_size, residue, want_census, args.sample, args.seed, deadline, parts=jobs)
-            parts = list(pool.map(cell, range(jobs))) if pool else [cell()]
-            if None in parts:
-                truncated = True
-                break
-            stats = [s for part in parts for s in part]
-            n = len(stats)
-            pct = 100.0 * sum(1 for s in stats if s[0]) / n if n else 0.0
-            means = [sum(s[i] for s in stats) / n for i in (1, 2, 3)] if want_census and n else [None] * 3
-            rows.append(SweepRow(bit_size, f"{residue}mod4", n, pct, *means))
-            del parts, stats  # the next cell runs without this one's per-prime stats
+    for bit_size, residue in product(range(args.n_min, args.n_max + 1), residues):
+        stats = _cell_stats(bit_size, residue, want_census, args.sample, args.seed, deadline)
+        if stats is None:
+            truncated = True
+            break
+        n = len(stats)
+        pct = 100.0 * sum(1 for s in stats if s[0]) / n if n else 0.0
+        means = [sum(s[i] for s in stats) / n for i in (1, 2, 3)] if want_census and n else [None] * 3
+        rows.append(SweepRow(bit_size, f"{residue}mod4", n, pct, *means))
+        del stats  # the next cell runs without this one's per-prime stats
     pairs: list[tuple[str, object]] = [
         ("kind", args.kind),
         ("bits", f"{args.n_min}..{args.n_max}"),

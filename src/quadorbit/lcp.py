@@ -134,20 +134,15 @@ def _cycle_complexity_cached(p: int, canonical_cycle: tuple[int, ...]) -> int:
 
 
 def _canonical(cycle: list[int]) -> tuple[int, ...]:
-    """The rotation of an orbit cycle that starts at its minimum state."""
-    k = cycle.index(min(cycle))
-    return tuple(cycle[k:] + cycle[:k])
-
-
-def _cycle_complexity(cycle: list[int], p: int) -> int:
-    """linear_complexity_via_gcd, cached up to rotation.
+    """The rotation of an orbit cycle that starts at its minimum state.
 
     L(S) of a periodic sequence is shift-invariant (rotating multiplies
     s^T(X) by a power of X, coprime to X^T - 1), and orbit cycles visit
-    distinct states, so starting the cycle at its minimum canonicalizes it.
-    Seeds on a shared cycle then pay for one gcd instead of one each.
+    distinct states, so this is the key of _cycle_complexity_cached: seeds
+    on a shared cycle pay for one gcd instead of one each.
     """
-    return _cycle_complexity_cached(p, _canonical(cycle))
+    k = cycle.index(min(cycle))
+    return tuple(cycle[k:] + cycle[:k])
 
 
 # Walk cache of _locate_on_cycle: (p, state) -> (canonical cycle, index of
@@ -304,7 +299,7 @@ def profile_for_seed(p: int, seed: int, n_max: int | None = None) -> LcpProfile:
         p=p,
         profile=berlekamp_massey_profile(seq, p),
         period=t,
-        linear_complexity=_cycle_complexity(rep.cycle, p),
+        linear_complexity=_cycle_complexity_cached(p, _canonical(rep.cycle)),
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -231,6 +233,19 @@ def test_sweep_budget_cuts_a_cell_short(capsys):
     assert code == 0 and payload["truncated"] is True and payload["rows"] == []
 
 
+def test_sweep_budget_cuts_the_drawing_of_a_sampled_cell_short(capsys):
+    # Drawing 20,000 81-bit primes takes 8-11 s; the budget is checked while the sampler draws them.
+    argv = ["sweep", "--kind", "maximal", "--n-min", "81", "--n-max", "81", "--class", "3mod4", "--sample", "20000"]
+    start = time.monotonic()
+    code, out = run_cli(capsys, *argv, "--budget-seconds", "0.2")
+    assert time.monotonic() - start < 3
+    assert code == 0
+    assert "# truncated: budget exceeded" in out
+    assert data_lines(out)[1:] == []
+    # A deadline that does not pass leaves the draws, and so the sampled bytes, as they are.
+    assert _sampled_primes(40, 1, 16, 3, time.monotonic() + 60) == _sampled_primes(40, 1, 16, 3, None)
+
+
 def _census_stats(p, want_census):
     """Per-prime sweep stats derived from census() and is_maximal_prime()."""
     maximal = is_maximal_prime(p).is_maximal
@@ -248,7 +263,7 @@ def test_cell_stats_match_census_and_maximality(want_census):
         for residue in (3, 1):
             cell = [p for p in primes if p >> (bits - 1) == 1 and p % 4 == residue]
             assert _cell_stats(bits, residue, want_census, 1, 0, None) == [_census_stats(p, want_census) for p in cell]
-    sampled = _sampled_primes(40, 1, 16, 3)
+    sampled = _sampled_primes(40, 1, 16, 3, None)
     assert _cell_stats(40, 1, want_census, 16, 3, None) == [_census_stats(p, want_census) for p in sampled]
 
 
@@ -269,23 +284,6 @@ def test_cell_stats_match_brute_census(want_census):
         for residue in (3, 1):
             cell = [p for p in primes if p >> (bits - 1) == 1 and p % 4 == residue]
             assert _cell_stats(bits, residue, want_census, 1, 0, None) == [_brute_stats(p, want_census) for p in cell]
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sweep", "--kind", "periods", "--n-min", "14", "--n-max", "16"],
-        ["sweep", "--kind", "maximal", "--n-min", "25", "--n-max", "25", "--sample", "64", "--format", "json"],
-    ],
-)
-def test_sweep_with_two_jobs_is_byte_identical(tmp_path, monkeypatch, argv):
-    outputs = []
-    for jobs in ("1", "2"):
-        monkeypatch.setenv("QUADORBIT_JOBS", jobs)
-        out = tmp_path / f"jobs{jobs}"
-        assert main(argv + ["--out", str(out)]) == 0
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
 
 
 def test_sweep_json(capsys):
@@ -362,12 +360,15 @@ def test_sweep_refuses_sample_above_its_cap_before_sampling(capsys, monkeypatch)
         assert captured.out == "" and str(SAMPLE_MAX) in captured.err
 
 
-def _main_in_process(argv):
-    """Exit code of main(argv) run in this process with its output captured; an exception escaping main fails."""
+def _main_in_process(argv, traced=False):
+    """Exit code of main(argv) run in this process with its output captured; an exception escaping main fails, and
+    so does a run over 5 s or, traced, over a 4 MB tracemalloc peak.  Tracing triples the time of a small run."""
     out, err = io.StringIO(), io.StringIO()
+    start = time.monotonic()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2), argv
+        code, peak = _peak_bytes(argv) if traced else (main(argv), 0)
+    assert time.monotonic() - start < 5 and peak < 1 << 22, argv
+    assert code in (0, 1, 2, 3), argv
     # Output and success go together, and a refusal says why: no silent empty success, no half-written table.
     assert (code == 1) == (out.getvalue() == "") == err.getvalue().startswith("quadorbit: error: "), argv
     return code
@@ -403,6 +404,52 @@ def test_sweep_argv_property(kind, bits, prime_class, sample, budget):
     assert _main_in_process(argv) == (0 if accepted else 1)
 
 
+def _flag(name, values):
+    """argv parts [name, value] for one of values; None leaves the flag out."""
+    return st.sampled_from(values).map(lambda value: [] if value is None else [name, str(value)])
+
+
+def _switch(name):
+    return st.sampled_from([[], [name]])
+
+
+def _command(name, *flags):
+    return st.tuples(*flags).map(lambda parts: [name, *chain.from_iterable(parts)])
+
+
+# The small grid: p at the edges of every refusal (negative, 0, 1, 2, 3, composites, squares) and small primes,
+# seeds -1..4, zero and negative step counts and control parameters, the smallest profiles and safe-prime limits.
+SMALL_P = _flag("--p", [-7, 0, 1, 2, 3, 4, 5, 7, 9, 13, 17, 23, 25])
+SMALL_P_PRIMES = (5, 7, 13, 17, 23)
+OTHER_COMMANDS_ARGV = st.one_of(
+    _command(
+        "orbit", SMALL_P, _flag("--seed", range(-1, 5)), _flag("--kind", ["logistic", "dickson2", "logistic-general"]),
+        _switch("--predict"), _flag("--max-steps", [None, 0, -1]), _flag("--mu", [None, 0, 3]),
+        _flag("--format", ["text", "csv", "json"]),
+    ),
+    _command("ivset", SMALL_P, _flag("--format", ["csv", "json"])),
+    _command("fibers", SMALL_P, _flag("--format", ["csv", "json"])),
+    _command(
+        "lcp", SMALL_P, _flag("--seed", [None, *range(-1, 5)]), _flag("--n-max", [None, 0, 1, 100]),
+        _switch("--bounds"), _flag("--format", ["csv", "json"]),
+    ),
+    _command(
+        "safeprimes", _flag("--limit", [-5, 0, 10, 13]), _switch("--analogous"),
+        _flag("--format", ["text", "csv", "json"]),
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(OTHER_COMMANDS_ARGV)
+def test_orbit_ivset_fibers_lcp_safeprimes_argv_property(argv):
+    code = _main_in_process(argv, traced=True)
+    if argv[0] in ("ivset", "fibers"):
+        assert code == (0 if int(argv[2]) in SMALL_P_PRIMES else 1)
+    elif argv[0] == "safeprimes":
+        assert code == (0 if int(argv[2]) >= 0 else 1)
+
+
 @pytest.mark.parametrize("budget", ["0", "-1", "nan", "inf"])
 def test_sweep_rejects_budgets_that_are_not_positive_and_finite(capsys, monkeypatch, budget):
     # 0 used to run with no budget, nan never to stop, -1 to print an empty, truncated table.
@@ -413,14 +460,6 @@ def test_sweep_rejects_budgets_that_are_not_positive_and_finite(capsys, monkeypa
     assert main(["sweep", "--kind", "maximal", "--n-min", "3", "--n-max", "4", "--budget-seconds", budget]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "--budget-seconds must be positive and finite" in captured.err
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
-def test_sweep_rejects_bad_jobs_env(capsys, monkeypatch, value):
-    monkeypatch.setenv("QUADORBIT_JOBS", value)
-    assert main(["sweep", "--kind", "maximal", "--n-min", "3", "--n-max", "4"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and "QUADORBIT_JOBS" in captured.err
 
 
 def test_out_writes_file(tmp_path):
@@ -716,12 +755,26 @@ def _run_python(*args, **kwargs):
 
 
 def test_cli_import_loads_no_pool_or_dataclass_machinery():
-    # concurrent.futures (with multiprocessing) is imported only by sweeps with QUADORBIT_JOBS > 1, and the
-    # records are NamedTuples, so start-up pays for neither.
+    # Nothing in the package imports concurrent.futures (with multiprocessing), and the records are NamedTuples,
+    # so start-up pays for neither.
     heavy = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
     code = f"import sys, quadorbit.cli; print(' '.join(m for m in {heavy!r} if m in sys.modules))"
     out, err = _run_python("-S", "-c", code).communicate(timeout=60)
     assert (out, err) == (b"\n", b"")
+
+
+def test_sweep_ignores_an_inherited_jobs_env(tmp_path, monkeypatch):
+    # The benchmark harness still sets QUADORBIT_JOBS.  A sweep has one serial path: whatever the variable holds,
+    # it writes the golden bytes and loads no pool machinery.
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--kind", "maximal", "--n-min", "3", "--n-max", "16", "--out", str(out)]
+    code = f"import sys; from quadorbit.cli import main; print(main({argv!r}), 'concurrent.futures' in sys.modules)"
+    for jobs in ("2", "abc"):
+        out.unlink(missing_ok=True)
+        monkeypatch.setenv("QUADORBIT_JOBS", jobs)
+        assert _run_python("-S", "-c", code).communicate(timeout=60) == (b"0 False\n", b""), jobs
+        golden = "5a9194eaaf54dd5d9c6e11343ad80ee7394fc1407ea5bef65bca045159d4303b"  # test_cli_goldens.GOLDENS
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == golden, jobs
 
 
 def test_closed_pipe_exits_quietly_with_its_own_code():
