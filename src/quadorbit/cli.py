@@ -42,7 +42,7 @@ from .generator import (
     orbit,
     predict_orbit,
 )
-from .ivsets import KIND_SPLIT, build_iv_set, fiber_table, param_kind
+from .ivsets import KIND_NORM_ONE, KIND_SPLIT, build_iv_set, fiber_table, param_kind
 from .lcp import bound_dickson, bound_quadratic, bound_sqrt, profile_for_seed, verify_profile_bounds
 from .numtheory import MR_PROVEN_LIMIT, factorize, fp2_context, is_prime, mult_order, prime_flags, table_factorizer
 
@@ -74,13 +74,14 @@ SWEEP_MAX_BITS = MR_PROVEN_LIMIT.bit_length() - 1
 # Largest safeprimes --limit; at it the byte-per-integer sieve takes 10 s and 0.53 GB.
 SAFEPRIMES_MAX_LIMIT = 1 << 28
 
-# Lines per write of _emit: at most about 1 MB of the widest rows (norm-one fibers).
+# Lines per write of _emit: about 3.7 MB of the widest, the norm-one fiber JSON members (about 225 bytes each).
 EMIT_CHUNK = 1 << 14
 
-# Items per json.dumps call of _json.  On a 2-core x86-64 machine, one call per item took ivset at 2^24 (4.2M ints)
-# to 30 s, and batches of 2^10 norm-one fibers, which outlive the young GC generations, took fibers at 2^20 to
-# 5.7 s against 4.2 s at 2^8.
-JSON_BATCH = 1 << 8
+# The JSON member of one fiber, as json.dumps(indent=2) nests it under "fibers": four ints, or four [c0, c1] pairs.
+FIBER_JSON = {
+    KIND_SPLIT: '    "%s": [\n' + ",\n".join(["      %d"] * 4) + "\n    ]",
+    KIND_NORM_ONE: '    "%s": [\n' + ",\n".join(["      [\n        %d,\n        %d\n      ]"] * 4) + "\n    ]",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,33 +124,26 @@ def _csv(row: dict) -> str:
 
 
 def _json(head: dict, key: str | None, rows: Iterable, item=None) -> Iterator[str]:
-    """The lines of json.dumps(head, indent=2, sort_keys=True) with item(row) of every row (the row itself without
-    an item) in place of the empty head[key].
-
-    Items are written JSON_BATCH at a time: a batch is one json.dumps call indented two more spaces, so only
-    the brackets of the stream and the commas between batches are written here.  For a dict ({}) every row starts
-    with its str key and item(row) is its (key, value) pair; rows are written in key order, as sort_keys=True does.
-    """
+    """The lines of json.dumps(head, indent=2, sort_keys=True) with item(row), the finished text of each row's member,
+    in place of the empty head[key]; only the brackets and the commas between members are written here.  Without an
+    item a list row is dumped whole.  For a dict ({}) every row starts with its str key, and rows go in key order."""
     text = json.dumps(head, indent=2, sort_keys=True)
     empty = head.get(key)
     if isinstance(empty, dict):
         rows = sorted(rows, key=itemgetter(0))
-    items = map(item, rows) if item else iter(rows)
-    batch = list(islice(items, JSON_BATCH))
-    if not batch:
+    items = map(item or (lambda row: "    " + json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n    ")), rows)
+    previous = next(items, None)
+    if previous is None:
         yield text
         return
     member = f"\n  {json.dumps(key)}: "
     before, after = text.split(member + json.dumps(empty))
     opening, closing = json.dumps(empty)
     yield before + member + opening
-    while batch:
-        lines = json.dumps(dict(batch) if isinstance(empty, dict) else batch, indent=2, sort_keys=True).split("\n")
-        batch = list(islice(items, JSON_BATCH))
-        if batch:
-            lines[-2] += ","
-        yield from ("  " + line for line in lines[1:-1])
-    yield f"  {closing}{after}"
+    for following in items:
+        yield previous + ","
+        previous = following
+    yield f"{previous}\n  {closing}{after}"
 
 
 def _render(
@@ -166,11 +160,6 @@ def _render(
     else:
         lines = _json(head, key, rows if key else (), item)
     _emit(lines, args.out)
-
-
-def _c0_c1_pairs(row: tuple[str, list[int]]) -> tuple[str, list[list[int]]]:
-    """A norm-one fiber row as its json member: the four parameters as [c0, c1]."""
-    return row[0], [row[1][i : i + 2] for i in range(0, 8, 2)]
 
 
 def _predict(spec: GeneratorSpec) -> OrbitPrediction:
@@ -221,7 +210,7 @@ def cmd_ivset(args: argparse.Namespace) -> int:
     if not iv.elements:
         pairs.append(("note", "initial-value set is empty"))
     head = {"p": iv.p, "kind": iv.kind, "elements": []}
-    _render(args, head, "elements", pairs, ["element"], iv.elements, str)
+    _render(args, head, "elements", pairs, ["element"], iv.elements, str, "    %d".__mod__)
     return EXIT_OK
 
 
@@ -234,10 +223,10 @@ def cmd_fibers(args: argparse.Namespace) -> int:
         cells = [f"{t}_c{j}" for t in cells for j in (0, 1)]
     rows = ((str(a), fiber) for a, fiber in fiber_table(args.p))
     head = {"p": args.p, "kind": kind, "fibers": {}}
-    template = "%s" + ",%d" * len(cells)
+    template, member = "%s" + ",%d" * len(cells), FIBER_JSON[kind]
     _render(
         args, head, "fibers", pairs, ["element", *cells], rows,
-        lambda row: template % (row[0], *row[1]), None if kind == KIND_SPLIT else _c0_c1_pairs,
+        lambda row: template % (row[0], *row[1]), lambda row: member % (row[0], *row[1]),
     )
     return EXIT_OK
 
@@ -265,7 +254,7 @@ def cmd_safeprimes(args: argparse.Namespace) -> int:
     values = analogous_two_safe_primes(args.limit) if args.analogous else two_safe_primes(args.limit)
     pairs = [("limit", args.limit), ("analogous", args.analogous)]
     head = {"limit": args.limit, "analogous": args.analogous, "primes": []}
-    _render(args, head, "primes", pairs, ["p"], values, str, text=map(str, values))
+    _render(args, head, "primes", pairs, ["p"], values, str, "    %d".__mod__, text=map(str, values))
     return EXIT_OK
 
 
@@ -489,13 +478,13 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "p", None) is not None and args.p >= MR_PROVEN_LIMIT:
             raise DomainError(f"--p {args.p} is not below {MR_PROVEN_LIMIT}: primality is only proven below it")
         return args.func(args)
-    except (DomainError, BudgetExceededError) as exc:
-        print(f"quadorbit: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BrokenPipeError:
         # The reader is gone; point stdout at devnull so the flush at exit does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    except (DomainError, BudgetExceededError, OSError) as exc:  # OSError: an --out that cannot be opened or written
+        print(f"quadorbit: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def run() -> None:

@@ -17,13 +17,12 @@ from hypothesis import strategies as st
 from quadorbit.cli import (
     EMIT_CHUNK,
     EXIT_PIPE,
-    JSON_BATCH,
+    FIBER_JSON,
     LCP_MAX_TERMS,
     ORBIT_MAX_STATES,
     SAFEPRIMES_MAX_LIMIT,
     SAMPLE_MAX,
     SWEEP_MAX_BITS,
-    _c0_c1_pairs,
     _cell_stats,
     _emit,
     _json,
@@ -32,7 +31,7 @@ from quadorbit.cli import (
 )
 from quadorbit.diagram import BRUTE_CENSUS_MAX_P, brute_census, census, is_maximal_prime
 from quadorbit.generator import in_iv_set, predict_orbit
-from quadorbit.ivsets import FIBERS_MAX_P, IV_SET_MAX_P
+from quadorbit.ivsets import FIBERS_MAX_P, IV_SET_MAX_P, KIND_NORM_ONE, KIND_SPLIT
 from quadorbit.numtheory import MR_PROVEN_LIMIT, primes_up_to
 
 
@@ -468,6 +467,18 @@ def test_out_writes_file(tmp_path):
     assert "12" in target.read_text()
 
 
+@pytest.mark.parametrize("argv", [["ivset", "--p", "23"], ["fibers", "--p", "17", "--format", "json"]])
+def test_out_into_a_missing_directory_or_onto_a_directory_exits_1(tmp_path, argv):
+    # Both used to end in a FileNotFoundError or IsADirectoryError traceback.
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([*argv, "--out", str(target)])
+        assert code == 1 and out.getvalue() == "", target
+        assert err.getvalue().startswith("quadorbit: error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("count", [0, 1, EMIT_CHUNK - 1, EMIT_CHUNK, EMIT_CHUNK + 1, 2 * EMIT_CHUNK + 3])
 def test_emit_writes_every_line_across_chunks(tmp_path, capsys, count):
     # Lines may come from a generator; no lines at all is one empty line.
@@ -479,42 +490,67 @@ def test_emit_writes_every_line_across_chunks(tmp_path, capsys, count):
     assert target.read_text() == expected
 
 
-HEAD_KEYS = ["a", "m", "z"]  # the streamed key sorts first, in the middle or last among the head keys
-ITEM_COUNTS = [0, 1, 2, JSON_BATCH - 1, JSON_BATCH, JSON_BATCH + 1, 2 * JSON_BATCH + 3]
+# (count, key): the streamed key sorts first, in the middle or last among the head keys.  From 11 items on, fiber
+# keys are out of string order, and 255-257 and 515 add three-digit keys.  The counts around EMIT_CHUNK cross
+# _emit's write boundary with multi-line members; the key's place does not depend on the count, so they run once.
+ITEM_CASES = [(count, key) for count in (0, 1, 2, 11, 255, 256, 257, 515) for key in ["a", "m", "z"]]
+ITEM_CASES += [(count, "m") for count in (EMIT_CHUNK - 1, EMIT_CHUNK, EMIT_CHUNK + 1)]
 
 
 def _head(key, empty):
     return {"b": 1, "k": "split", "y": 'quote " and \u00e9', "n": None, "t": True, key: empty}
 
 
-@pytest.mark.parametrize("key", HEAD_KEYS)
-@pytest.mark.parametrize("count", ITEM_COUNTS)
+def _emitted(capsys, lines):
+    _emit(lines, None)
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count, key", ITEM_CASES)
 @pytest.mark.parametrize("rows_of", ["ints", "nested dicts"])
-def test_json_writer_matches_json_dumps_for_lists(key, count, rows_of):
+def test_json_writer_matches_json_dumps_for_lists(capsys, count, key, rows_of):
     if rows_of == "ints":
         rows = list(range(7, 7 + count))
     else:
         rows = [{"N": n, "L": [n, {"deep": [None, n / 3]}], "bound": -0.5, "ok": n % 2 == 0} for n in range(count)]
-    expected = json.dumps({**_head(key, []), key: rows}, indent=2, sort_keys=True)
-    assert "\n".join(_json(_head(key, []), key, iter(rows))) == expected
-    # Rows mapped by item, as lcp and sweep records are.
-    assert "\n".join(_json(_head(key, []), key, iter(rows), lambda row: {"v": row})) == json.dumps(
-        {**_head(key, []), key: [{"v": row} for row in rows]}, indent=2, sort_keys=True
-    )
+    expected = json.dumps({**_head(key, []), key: rows}, indent=2, sort_keys=True) + "\n"
+    # The default item dumps each row whole, as census, lcp and sweep rows are.
+    assert _emitted(capsys, _json(_head(key, []), key, iter(rows))) == expected
+    if rows_of == "ints":
+        # The template of ivset elements and safeprimes primes.
+        assert _emitted(capsys, _json(_head(key, []), key, iter(rows), "    %d".__mod__)) == expected
 
 
-@pytest.mark.parametrize("key", HEAD_KEYS)
-@pytest.mark.parametrize("count", ITEM_COUNTS)
+@pytest.mark.parametrize("count, key", ITEM_CASES)
 @pytest.mark.parametrize("norm_one", [False, True], ids=["split", "norm_one"])
-def test_json_writer_matches_json_dumps_for_string_keyed_fibers(key, count, norm_one):
+def test_json_writer_matches_json_dumps_for_string_keyed_fibers(capsys, count, key, norm_one):
     # Keys 1..count in numeric order, as fiber_table yields them; from 10 on their string order differs.
     table = [(a, [a, 2 * a, 3 * a, 4 * a] * (2 if norm_one else 1)) for a in range(1, count + 1)]
     if count >= 10:
         assert sorted(str(a) for a, _ in table) != [str(a) for a, _ in table]
-    item = _c0_c1_pairs if norm_one else None
-    fibers = dict(item(row) if item else row for row in ((str(a), f) for a, f in table))
-    expected = json.dumps({**_head(key, {}), key: fibers}, indent=2, sort_keys=True)
-    assert "\n".join(_json(_head(key, {}), key, ((str(a), f) for a, f in table), item)) == expected
+    fibers = {str(a): [f[i : i + 2] for i in range(0, 8, 2)] if norm_one else f for a, f in table}
+    expected = json.dumps({**_head(key, {}), key: fibers}, indent=2, sort_keys=True) + "\n"
+    member = FIBER_JSON[KIND_NORM_ONE if norm_one else KIND_SPLIT]
+    rows = ((str(a), f) for a, f in table)
+    assert _emitted(capsys, _json(_head(key, {}), key, rows, lambda row: member % (row[0], *row[1]))) == expected
+
+
+JSON_REDUMP_PRIMES = [p for p in primes_up_to(2000) if p >= 5]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(JSON_REDUMP_PRIMES))
+def test_json_output_is_its_own_canonical_dump(p):
+    # Every table command's streamed JSON is byte for byte the json.dumps of what it parses to.
+    commands = [["ivset"], ["fibers"], ["census"], ["census", "--brute"], ["lcp"], ["lcp", "--bounds"]]
+    argvs = [[c[0], "--p", str(p), *c[1:]] for c in commands]
+    argvs += [["safeprimes", "--limit", str(p)], ["safeprimes", "--limit", str(p), "--analogous"]]
+    argvs.append(["sweep", "--kind", "maximal" if p % 4 == 3 else "periods", "--n-min", "3", "--n-max", str(3 + p % 8)])
+    for argv in argvs:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main([*argv, "--format", "json"]) == 0, argv
+        assert out.getvalue() == json.dumps(json.loads(out.getvalue()), indent=2, sort_keys=True) + "\n", argv
 
 
 def test_fibers_json_keys_are_in_string_order(capsys):
