@@ -10,6 +10,7 @@ torus) and over the norm-one subgroup of F_{p^2} minus {+-1} in the second.
 
 from __future__ import annotations
 
+import gc
 from array import array
 from itertools import compress
 from typing import NamedTuple
@@ -144,19 +145,25 @@ def fiber_table(p: int) -> list[tuple[int, list[int]]]:
     del squares
     elements = compress(range(1, p - 1), memoryview(members)[1:])
     table = []
-    if kind == KIND_SPLIT:
-        for a in elements:
-            r, s = roots[a], roots[a + 1]
-            w, u = abs(s - r), min(s + r, p - s - r)
-            lo, hi = (w, u) if w < u else (u, w)
-            if lo != hi:  # four distinct parameters; a fiber left out fails the count below
-                table.append((a, [lo, hi, p - hi, p - lo]))
-    else:
-        inv_ns = pow(fp2_context(p).non_residue, -1, p)
-        for a in elements:
-            c0, c1 = roots[a + 1], roots[a * inv_ns % p]
-            if c1:  # c0 is nonzero as a + 1 is a square, so the four parameters are distinct
-                table.append((a, [c0, c1, c0, p - c1, p - c0, c1, p - c0, p - c1]))
+    collecting = gc.isenabled()
+    gc.disable()  # the table holds only ints and lists of ints: the cyclic collector would only rescan it
+    try:
+        if kind == KIND_SPLIT:
+            for a in elements:
+                r, s = roots[a], roots[a + 1]
+                w, u = abs(s - r), min(s + r, p - s - r)
+                lo, hi = (w, u) if w < u else (u, w)
+                if lo != hi:  # four distinct parameters; a fiber left out fails the count below
+                    table.append((a, [lo, hi, p - hi, p - lo]))
+        else:
+            inv_ns = pow(fp2_context(p).non_residue, -1, p)
+            for a in elements:
+                c0, c1 = roots[a + 1], roots[a * inv_ns % p]
+                if c1:  # c0 is nonzero as a + 1 is a square, so the four parameters are distinct
+                    table.append((a, [c0, c1, c0, p - c1, p - c0, c1, p - c0, p - c1]))
+    finally:
+        if collecting:
+            gc.enable()
     if 4 * len(table) != (p - 3 if kind == KIND_SPLIT else p - 1):
         raise AssertionError(f"{len(table)} fibers of four distinct parameters do not cover the parameters mod {p}")
     return table

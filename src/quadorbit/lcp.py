@@ -1,12 +1,10 @@
 """Linear complexity profiles and closed-form lower bounds.
 
-The profile L(S, N) is synthesized incrementally (Berlekamp-Massey over
-F_p); for a purely periodic sequence the stabilized value is also computed
-independently as T - deg gcd(X^T - 1, s^T(X)), and the two routes are kept
-separate so each can check the other.  The gcd runs Euclid on packed
-polynomials: one int per polynomial, a fixed-width slot per coefficient,
-so each step is a few big-int operations rather than a loop over
-coefficients.
+The profile L(S, N) is read off the remainder degrees of one Euclid over F_p
+(continued fractions) or synthesized prefix by prefix (Berlekamp-Massey).  A
+periodic sequence's stabilized value is also T - deg gcd(X^T - 1, s^T(X)), a
+separate route, so each checks the other.  Both Euclids run on packed
+polynomials, one int each with a fixed-width slot per coefficient.
 
 The bound verifier examines a seed's profile up to an early stop, and its
 n_synthesized counts those terms whether Berlekamp-Massey synthesized them
@@ -18,7 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import count, islice
+from itertools import islice
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -78,6 +76,42 @@ def berlekamp_massey_profile(seq: Iterable[int], p: int, n_max: int | None = Non
     if n_max > len(data):
         raise DomainError(f"profile to N={n_max} needs {n_max} terms, got {len(data)}")
     return list(islice(_bm_steps(data, p), n_max))
+
+
+def _euclid_profile(seq: Sequence[int], p: int) -> list[int]:
+    """[L(S, 1), ..., L(S, N)] of seq over F_p, N = len(seq), from one Euclid (continued fractions).
+
+    Divide X^N by s_0 X^(N-1) + ... + s_(N-1) (Mills 1975; Dornstetter 1987).  With D_k = N - deg r_k for
+    the remainders r_0, r_1, ... and D_(-2) = D_(-1) = 0, L(S, n) = D_k for D_(k-1) + D_k <= n < D_k + D_(k+1),
+    which reaches N once 2 D_k >= N or r_(k+1) = 0.  Only degrees are read.  The packing, elimination,
+    Barrett step and mask are linear_complexity_via_gcd's, copied so that the two routes share no code.
+    """
+    n_terms = len(seq)
+    k = p.bit_length()
+    b = 2 * k + 1
+    w = b + k + 1
+    m = (1 << b) // p
+    low = int(("0" * b + "1" * (w - b)) * (n_terms + 1), 2)  # the low w - b bits of every slot
+    u = 1 << w * n_terms
+    v = int("".join(format(c % p, f"0{w}b") for c in seq) or "0", 2)
+    profile, jump = [], 0  # jump = D_(k-1): L(S, n) for n below D_(k-1) + D_k
+    while v:
+        dv = (v.bit_length() - 1) // w
+        profile += [jump] * (min(jump + n_terms - dv - 1, n_terms) - len(profile))
+        jump = n_terms - dv
+        if 2 * jump >= n_terms:
+            break
+        neg_inv = -pow(v >> w * dv, -1, p)
+        du = (u.bit_length() - 1) // w
+        while du >= dv:
+            u += ((u >> w * du) * neg_inv % p) * (v << w * (du - dv))
+            u -= p * ((u * m >> b) & low)
+            du -= 1
+            while du >= 0 and not (u >> w * du) % p:
+                du -= 1
+            u &= (1 << w * (du + 1)) - 1
+        u, v = v, u
+    return profile + [jump] * (n_terms - len(profile))
 
 
 def linear_complexity_via_gcd(cycle: list[int], p: int) -> int:
@@ -285,7 +319,7 @@ def profile_for_seed(p: int, seed: int, n_max: int | None = None) -> LcpProfile:
     The sequence analyzed is the orbit's cycle repeated; seeds in the
     initial-value set are on cycles already, so there the sequence is just
     the generator output.  The stabilized complexity comes from the gcd
-    route, independently of the synthesis loop.
+    route, independently of the profile's Euclid.
     """
     if n_max is not None and n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
@@ -297,7 +331,7 @@ def profile_for_seed(p: int, seed: int, n_max: int | None = None) -> LcpProfile:
     seq = (rep.cycle * reps)[:n_max]
     return LcpProfile(
         p=p,
-        profile=berlekamp_massey_profile(seq, p),
+        profile=_euclid_profile(seq, p),
         period=t,
         linear_complexity=_cycle_complexity_cached(p, _canonical(rep.cycle)),
     )
@@ -347,14 +381,13 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
       n_synthesized counts the terms examined up to that early stop;
     - once L(S,n) meets both curves at N = n, they are evaluated once more
       at the horizon min(2n, n_max).  If L(S,n) meets them there too, no N
-      up to the horizon can violate them, and their per-N evaluation is
-      skipped up to it.
+      up to the horizon can violate them, and the check jumps past it.
 
     On the perfect profile L(S, N) = ceil(N/2) the early stop comes by
     N = 2J, J = max(1, min(ceil(threshold), ceil(n_max/2))), and a seed has
     that profile up to 2J exactly when its Hankel determinants H_1..H_J are
-    all nonzero.  Such a seed's terms are certified rather than
-    synthesized; every other seed runs Berlekamp-Massey.  The first zeros
+    all nonzero.  Such a seed's terms are certified rather than synthesized;
+    every other seed runs Berlekamp-Massey.  The first zeros
     of all rotations come from one number wall per cycle (O(T J)), built
     only once the Berlekamp-Massey work spent on the cycle's seeds,
     sum n_synthesized^2 / 4, reaches T J, so a single call never pays for
@@ -380,27 +413,27 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
     if wall_depth < depth <= l_s and _bm_work.get(key, 0) >= t * depth:
         wall_depth, first = _walls[key] = depth, _first_zeros(cycle, depth, p)
     certified = wall_depth >= depth and first[start] > depth
-    if certified:
-        lengths = ((n + 1) // 2 for n in count(1))
+    if certified:  # L(S, N) = ceil(N/2) first meets the threshold at N = 2 ceil(threshold) - 1
+        stop = min(n_max, max(1, 2 * math.ceil(threshold) - 1))
     else:
-        # The first n_max terms of the cycle read from the seed's index onward.
-        lengths = _bm_steps((cycle * (-(-n_max // t) + 1))[start : start + n_max], p)
-    violations = []
-    horizon = 0  # no N <= horizon can violate either bound
-    for n, length in enumerate(lengths, start=1):
-        if n > horizon:
-            quad = bound_quadratic(n, t, m)
-            if length < quad - BOUND_SLACK:
-                violations.append(BoundViolation(n=n, observed=length, bound=quad, kind="quadratic"))
-            sqr = bound_sqrt(n, l_s)
-            if length < sqr - BOUND_SLACK:
-                violations.append(BoundViolation(n=n, observed=length, bound=sqr, kind="sqrt"))
-            if length >= max(quad, sqr) - BOUND_SLACK:
-                far = min(2 * n, n_max)
-                if length >= max(bound_quadratic(far, t, m), bound_sqrt(far, l_s)) - BOUND_SLACK:
-                    horizon = far
-        if n >= n_max or length >= threshold:
-            break
-    if not certified and key in _walked:
-        _bm_work[key] = _bm_work.get(key, 0) + n * n // 4
-    return BoundCheckReport(p, seed, t, m, l_s, n_checked=n_max, n_synthesized=n, violations=violations)
+        steps = _bm_steps((cycle * (-(-n_max // t) + 1))[start : start + n_max], p)  # n_max terms from the seed
+        lengths = [next(steps)]
+        while lengths[-1] < threshold and len(lengths) < n_max:
+            lengths.append(next(steps))
+        stop = len(lengths)
+        if key in _walked:
+            _bm_work[key] = _bm_work.get(key, 0) + stop * stop // 4
+    violations, n = [], 1
+    while n <= stop:  # every N below n was checked or lies under a horizon
+        length = (n + 1) // 2 if certified else lengths[n - 1]
+        quad = bound_quadratic(n, t, m)
+        if length < quad - BOUND_SLACK:
+            violations.append(BoundViolation(n=n, observed=length, bound=quad, kind="quadratic"))
+        sqr = bound_sqrt(n, l_s)
+        if length < sqr - BOUND_SLACK:
+            violations.append(BoundViolation(n=n, observed=length, bound=sqr, kind="sqrt"))
+        far = min(2 * n, n_max)
+        if length >= max(quad, sqr, bound_quadratic(far, t, m), bound_sqrt(far, l_s)) - BOUND_SLACK:
+            n = far
+        n += 1
+    return BoundCheckReport(p, seed, t, m, l_s, n_checked=n_max, n_synthesized=stop, violations=violations)

@@ -1,3 +1,6 @@
+import gc
+from itertools import compress
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +121,30 @@ def test_fiber_table_matches_a_per_parameter_scan():
         else:
             assert {a: list(zip(f[::2], f[1::2])) for a, f in table} == expected, p
             assert {a: [(t.c0, t.c1) for t in f] for a, f in fibers.items()} == expected, p
+
+
+def _fail_after_one(data, flags):
+    """compress that yields one element and then fails, inside the fiber loop."""
+    yield next(compress(data, flags))
+    raise RuntimeError("element scan failed")
+
+
+@pytest.mark.parametrize("p", [23, 17])
+@pytest.mark.parametrize("collecting", [True, False])
+def test_fiber_table_leaves_the_collector_as_it_found_it(monkeypatch, p, collecting):
+    # fiber_table pauses the cyclic collector while it builds the table; it
+    # must hand back the caller's setting, on a failed build too.
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        assert fiber_table(p)
+        assert gc.isenabled() is collecting
+        monkeypatch.setattr("quadorbit.ivsets.compress", _fail_after_one)
+        with pytest.raises(RuntimeError):
+            fiber_table(p)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @settings(max_examples=40, deadline=None)

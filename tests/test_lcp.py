@@ -176,6 +176,73 @@ def test_profile_for_seed_examples():
     assert berlekamp_massey_profile([1, 8, 12, 3, 2] * 2, 23)[-1] == prof.linear_complexity
 
 
+PROFILE_SHAPES = (*SHAPES, "leading_zero")
+
+
+def _test_sequence(rng, p, shape, n):
+    """n terms: a random tail after a run of zeros, or a _test_cycle shape
+    repeated, of period n or shorter (so the profile stops climbing)."""
+    if shape == "leading_zero":
+        zeros = rng.randrange(n + 1)
+        return [0] * zeros + [rng.randrange(p) for _ in range(n - zeros)]
+    if n == 0:
+        return []
+    cycle = _test_cycle(rng, p, shape, rng.choice([n, rng.randrange(1, n + 1)]))
+    return (cycle * n)[:n]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101, 2999, 65537, 2**31 - 1, 2**61 - 1])
+def test_euclid_profile_matches_berlekamp_massey_on_shaped_sequences(p):
+    rng = random.Random(p)
+    for shape in PROFILE_SHAPES:
+        for n in [0, 1, 2, 3, *rng.sample(range(4, 90), 16)]:
+            seq = _test_sequence(rng, p, shape, n)
+            assert lcp._euclid_profile(seq, p) == list(lcp._bm_steps(seq, p)), (p, shape, seq)
+
+
+def test_euclid_profile_matches_berlekamp_massey_on_iv_seeds():
+    # 2T terms from every IV seed of every prime below 400 (3,432 seeds, so
+    # every rotation of their cycles), and from one seed per cycle of each
+    # prime up to 1000 above it (643 cycles).
+    checked = 0
+    for p in REFERENCE_GCD_PRIMES:
+        seen = set()
+        for a in build_iv_set(p).elements:
+            if a in seen:
+                continue
+            cycle = logistic_cycle(a, p)
+            if p > 400:
+                seen.update(cycle)
+            seq = cycle * 2
+            assert lcp._euclid_profile(seq, p) == list(lcp._bm_steps(seq, p)), (p, a)
+            checked += 1
+    assert checked == 3432 + 643
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    primes_of_every_bit_length(),
+    st.sampled_from(PROFILE_SHAPES),
+    st.integers(0, 80),
+    st.randoms(use_true_random=False),
+)
+def test_euclid_profile_matches_berlekamp_massey_at_every_slot_width(p, shape, n, rng):
+    seq = _test_sequence(rng, p, shape, n)
+    assert lcp._euclid_profile(seq, p) == list(lcp._bm_steps(seq, p)), (p, shape, seq)
+
+
+@pytest.mark.parametrize("p", [23, 47, 359, 2999])
+def test_profile_for_seed_equals_the_berlekamp_massey_profile(p):
+    # profile_for_seed reads its profile off the Euclid route; over fewer
+    # terms than one period, exactly one, two periods (the default) and more.
+    seed = build_iv_set(p).elements[-1]
+    cycle = logistic_cycle(seed, p)
+    t = len(cycle)
+    for n_max in (1, t // 2, t - 1, t, None, 2 * t + 3):
+        prof = profile_for_seed(p, seed, n_max)
+        assert prof.profile == berlekamp_massey_profile(cycle * 3, p, n_max or 2 * t), (p, n_max)
+
+
 def test_bound_quadratic_saturates_beyond_two_periods():
     t, m = 11, 23
     saturated = bound_quadratic(2 * t, t, m)
