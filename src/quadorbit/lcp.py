@@ -8,8 +8,8 @@ polynomials, one int each with a fixed-width slot per coefficient.
 
 The bound verifier examines a seed's profile up to an early stop, and its
 n_synthesized counts those terms whether Berlekamp-Massey synthesized them
-or a number wall certified them: a rotation of a cycle whose Hankel
-determinants H_1..H_J are nonzero has L(S, N) = ceil(N/2) for N <= 2J.
+or a number wall fixed them: the rows j <= J where a rotation's Hankel
+determinant H_j is nonzero give its profile up to N = D + J, D the last one.
 """
 
 from __future__ import annotations
@@ -185,11 +185,11 @@ def _canonical(cycle: list[int]) -> tuple[int, ...]:
 # states) fits many times over.
 _walked: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
 WALK_CACHE_STATES = 1 << 15
-# Per cycle of _walked, keyed by (p, first state of the canonical cycle):
-# the depth J of its number wall and each rotation's first zero capped at
-# J + 1 (_walls), or the Berlekamp-Massey work its seeds have cost so far,
+# Per cycle of _walked, keyed by (p, first state of the canonical cycle): the
+# depth J of its number wall and the zero rows j <= J of the rotations that have
+# one (_walls), or the Berlekamp-Massey work its seeds have cost so far,
 # sum n_synthesized^2 / 4 (_bm_work).  Both are emptied with _walked.
-_walls: dict[tuple[int, int], tuple[int, list[int]]] = {}
+_walls: dict[tuple[int, int], tuple[int, dict[int, list[int]]]] = {}
 _bm_work: dict[tuple[int, int], int] = {}
 
 
@@ -246,15 +246,22 @@ def _wall_rows(seq: Sequence[int], depth: int, p: int) -> Iterator[list[int]]:
     isolated and the long cross rule (Lunnon 2001, with Hankel signs)
         H_{j+1}(k) A^2 = -(H_{j-3}(k+4) D^2 + H_{j-1}(k) C^2 + H_{j-1}(k+4) B^2)
     gives the entry; inside a larger block of zeros it comes from elimination.
+    Inverses come from one table, inv(i) = -(p // i) inv(p mod i), when p is
+    at most the wall's entry count, and from one pow per new divisor above it.
     """
     far, near, above, row = [], [0] * len(seq), [1] * len(seq), [s % p for s in seq]
-    inverses = {0: 0}
+    inverses: list[int] | dict[int, int] = {0: 0}
+    if p <= len(seq) * depth:
+        inverses = [0, 1]
+        for i in range(2, p):
+            inverses.append(-(p // i) * inverses[p % i] % p)
     for j in range(1, depth + 1):
         yield row
         if j == depth:
             return
         div = above[2 : len(row)]
-        inverses.update({e: pow(e, -1, p) for e in set(div) - inverses.keys()})
+        if isinstance(inverses, dict):
+            inverses.update({e: pow(e, -1, p) for e in set(div) - inverses.keys()})
         below = [(a * c - b * b) * inverses[e] % p for a, b, c, e in zip(row, row[1:], row[2:], div)]
         if 0 in div:
             for k, e in enumerate(div):
@@ -268,15 +275,31 @@ def _wall_rows(seq: Sequence[int], depth: int, p: int) -> Iterator[list[int]]:
         far, near, above, row = near, above, row, below
 
 
-def _first_zeros(cycle: Sequence[int], depth: int, p: int) -> list[int]:
-    """For each rotation k of a periodic sequence, the least j <= depth with
-    H_j(k) = 0, or depth + 1 when H_1(k)..H_depth(k) are all nonzero."""
+def _zero_rows(cycle: Sequence[int], depth: int, p: int) -> dict[int, list[int]]:
+    """{k: the rows j <= depth with H_j(k) = 0} over the rotations k of a
+    periodic sequence that have such a row; the others are left out."""
     t = len(cycle)
-    first = [depth + 1] * t
+    zeros: dict[int, list[int]] = {}
     seq = (cycle * (2 * depth // t + 2))[: t + 2 * depth - 2]
     for j, row in enumerate(_wall_rows(seq, depth, p), start=1):
-        first = [f if v or f <= depth else j for f, v in zip(first, row)]
-    return first
+        if 0 in row[:t]:
+            for k in (k for k, v in enumerate(row[:t]) if not v):
+                zeros.setdefault(k, []).append(j)
+    return zeros
+
+
+def _wall_profile(zero_rows: Sequence[int], depth: int) -> list[int]:
+    """[L(S, 1), ..., L(S, D + depth)] of a sequence whose Hankel determinants
+    H_j, j <= depth, are zero exactly at zero_rows, D the last nonzero row.
+
+    With D_0 = 0 < D_1 < ... the rows j <= depth where H_j != 0, L(S, n) = D_i
+    for D_(i-1) + D_i <= n < D_i + D_(i+1) (Lunnon 2001; _euclid_profile's rule).
+    """
+    rows = [j for j in range(depth + 1) if j not in zero_rows] + [depth + 1]
+    profile: list[int] = []
+    for d, d_next in zip(rows, rows[1:]):
+        profile += [d] * (d + d_next - 1 - len(profile))
+    return profile
 
 
 def bound_quadratic(n: int, period: int, modulus: int) -> float:
@@ -387,11 +410,12 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
     N = 2J, J = max(1, min(ceil(threshold), ceil(n_max/2))), and a seed has
     that profile up to 2J exactly when its Hankel determinants H_1..H_J are
     all nonzero.  Such a seed's terms are certified rather than synthesized;
-    every other seed runs Berlekamp-Massey.  The first zeros
-    of all rotations come from one number wall per cycle (O(T J)), built
-    only once the Berlekamp-Massey work spent on the cycle's seeds,
-    sum n_synthesized^2 / 4, reaches T J, so a single call never pays for
-    one.
+    a seed with zero rows reads its profile off them (_wall_profile), and
+    only a seed whose reading ends before the early stop, or whose cycle has
+    no wall yet, runs Berlekamp-Massey.  The zero rows of all rotations come
+    from one number wall per cycle (O(T J)), built only once the
+    Berlekamp-Massey work spent on the cycle's seeds, sum n_synthesized^2 / 4,
+    reaches T J, so a single call never pays for one.
     """
     if n_max is not None and n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
@@ -408,14 +432,17 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
     threshold = max(bound_quadratic(n_max, t, m), bound_sqrt(n_max, l_s))
     depth = max(1, min(math.ceil(threshold), -(-n_max // 2)))
     key = (p, cycle[0])
-    wall_depth, first = _walls.get(key, (0, []))
+    wall_depth, zeros = _walls.get(key, (0, {}))
     # H_j = 0 for every j > L(S), so no rotation is certified past depth L(S).
     if wall_depth < depth <= l_s and _bm_work.get(key, 0) >= t * depth:
-        wall_depth, first = _walls[key] = depth, _first_zeros(cycle, depth, p)
-    certified = wall_depth >= depth and first[start] > depth
+        wall_depth, zeros = _walls[key] = depth, _zero_rows(cycle, depth, p)
+    certified = wall_depth >= depth and start not in zeros
     if certified:  # L(S, N) = ceil(N/2) first meets the threshold at N = 2 ceil(threshold) - 1
         stop = min(n_max, max(1, 2 * math.ceil(threshold) - 1))
     else:
+        lengths = _wall_profile(zeros[start], wall_depth)[:n_max] if wall_depth >= depth else []
+        stop = next((n for n, length in enumerate(lengths, 1) if length >= threshold), n_max)
+    if not certified and stop > len(lengths):  # no wall yet, or its reading ends before the stop
         steps = _bm_steps((cycle * (-(-n_max // t) + 1))[start : start + n_max], p)  # n_max terms from the seed
         lengths = [next(steps)]
         while lengths[-1] < threshold and len(lengths) < n_max:

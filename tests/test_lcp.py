@@ -451,9 +451,11 @@ def _hankel_dets(seq, j, p):
 @st.composite
 def periodic_sequences(draw):
     """(p, one period, wall depth): random periods, short planted periods
-    repeated, and all-zero periods, over primes small enough that zero
-    divisors, and blocks of zeros that need elimination, are common."""
-    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    repeated, and all-zero periods.  The small primes make zero divisors, and
+    blocks of zeros that need elimination, common and take the wall's inverse
+    table; the large ones exceed the wall's entry count (at most 24 * 7) and
+    take one pow per new divisor."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 10007, 65537, 2**31 - 1]))
     shape = draw(st.sampled_from(["random", "planted", "zero"]))
     if shape == "zero":
         cycle = [0] * draw(st.integers(1, 8))
@@ -464,7 +466,7 @@ def periodic_sequences(draw):
     return p, cycle, draw(st.integers(1, 7))
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(periodic_sequences())
 def test_number_wall_rows_are_hankel_determinants(case):
     pytest.importorskip("sympy")
@@ -473,8 +475,8 @@ def test_number_wall_rows_are_hankel_determinants(case):
     seq = (cycle * (2 * depth // t + 2))[: t + 2 * depth - 2]
     rows = list(lcp._wall_rows(seq, depth, p))
     assert rows == [_hankel_dets(seq, j, p) for j in range(1, depth + 1)], case
-    first = [next((j for j, row in enumerate(rows, 1) if row[k] == 0), depth + 1) for k in range(t)]
-    assert lcp._first_zeros(cycle, depth, p) == first, case
+    zeros = {k: [j for j, row in enumerate(rows, 1) if row[k] == 0] for k in range(t)}
+    assert lcp._zero_rows(cycle, depth, p) == {k: js for k, js in zeros.items() if js}, case
 
 
 def test_first_zeros_match_perfect_profiles_on_iv_cycles(reference_profiles):
@@ -488,37 +490,75 @@ def test_first_zeros_match_perfect_profiles_on_iv_cycles(reference_profiles):
         cycle, start = lcp._locate_on_cycle(seed, p)
         depth = min(t, profile[2 * t - 1])
         if (p, cycle) not in walls:
-            walls[p, cycle] = lcp._first_zeros(cycle, depth, p)
+            walls[p, cycle] = lcp._zero_rows(cycle, depth, p)
+        first = min(walls[p, cycle].get(start, [depth + 1]))
         perfect = next((n - 1 for n in range(1, 2 * t + 1) if profile[n - 1] != (n + 1) // 2), 2 * t)
-        assert min(walls[p, cycle][start] - 1, depth) == min(perfect // 2, depth), (p, seed)
+        assert min(first - 1, depth) == min(perfect // 2, depth), (p, seed)
         checked += 1
     assert checked > 3000 and len(walls) > 100
+
+
+def test_wall_profile_matches_the_textbook_profile_on_iv_cycles(reference_profiles):
+    # With D_0 = 0 < D_1 < ... the rows j <= J where H_j(k) != 0, rotation k
+    # has L(S, n) = D_i for D_(i-1) + D_i <= n < D_i + D_(i+1), fixed up to
+    # n = D + J for the last of them, D.  One wall of depth min(40, L(S)) per
+    # cycle gives every smaller depth J too.  Rotations with zero rows are
+    # read off the rule; those with H_J(k) = 0 stop short of 2J, where the
+    # verifier falls back to Berlekamp-Massey.
+    walls = {}
+    with_zero_rows = short = terms = 0
+    for p, seed, t, profile in reference_profiles:
+        cycle, start = lcp._locate_on_cycle(seed, p)
+        depth = min(40, profile[2 * t - 1])  # rows past L(S) are all zero
+        if (p, cycle) not in walls:
+            walls[p, cycle] = lcp._zero_rows(cycle, depth, p)
+        rows = walls[p, cycle].get(start, [])
+        for j in sorted({depth, 20, 7, 2} & set(range(1, depth + 1))):
+            below = [i for i in rows if i <= j]
+            read = lcp._wall_profile(below, j)
+            assert len(read) == max(i for i in range(j + 1) if i not in below) + j, (p, seed, j)
+            assert read == profile[: len(read)], (p, seed, j)
+            with_zero_rows += bool(below)
+            short += j in below
+            terms += len(read)
+    assert with_zero_rows > 500 and short > 20 and terms > 500_000
 
 
 BOUNDS_WINDOW = [p for p in primes_up_to(3200) if p >= 2800 and is_maximal_prime(p).is_maximal]
 
 
+class _NeverPaysOff(dict):
+    """A Berlekamp-Massey work ledger that always reads 0, so no wall is built."""
+
+    def get(self, key, default=None):
+        return 0
+
+
 def test_wall_path_reports_equal_berlekamp_massey_reports(monkeypatch):
     # Every IV seed of the seven maximal primes in [2800, 3200): the reports
-    # with the walls equal those with every seed sent through BM, and all but
-    # a few seeds per cycle (those before the wall pays off, and those
-    # without a perfect profile) are certified by the wall.
+    # with the walls equal those with every seed sent through BM.  With the
+    # walls, BM runs exactly for the seeds verified before their cycle's wall
+    # pays off and for those whose wall reading stops short (H_J = 0): here
+    # 99 of 5,283 seeds, all before their walls.
     assert len(BOUNDS_WINDOW) == 7
     cases = [(p, a) for p in BOUNDS_WINDOW for a in build_iv_set(p).elements]
     synthesized = []
     counting = lcp._bm_steps
     monkeypatch.setattr(lcp, "_bm_steps", lambda seq, p: synthesized.append(p) or counting(seq, p))
-
-    def reports():
-        _empty_caches(monkeypatch)
-        synthesized.clear()
-        return [verify_profile_bounds(p, a) for p, a in cases]
-
-    with_walls = reports()
-    assert len(synthesized) <= 0.05 * len(cases)
-    monkeypatch.setattr(lcp, "_first_zeros", lambda cycle, depth, p: [1] * len(cycle))  # certifies nothing
-    assert reports() == with_walls
-    assert len(synthesized) == len(cases)
+    _empty_caches(monkeypatch)
+    with_walls = []
+    for p, a in cases:
+        ran = len(synthesized)
+        with_walls.append(verify_profile_bounds(p, a))
+        cycle, start = lcp._locate_on_cycle(a, p)
+        depth, zeros = lcp._walls.get((p, cycle[0]), (0, {}))
+        assert (len(synthesized) > ran) == (not depth or depth in zeros.get(start, ())), (p, a)
+    assert len(synthesized) == 99 and len(cases) == 5283
+    _empty_caches(monkeypatch)
+    monkeypatch.setattr(lcp, "_bm_work", _NeverPaysOff())
+    synthesized.clear()
+    assert [verify_profile_bounds(p, a) for p, a in cases] == with_walls
+    assert len(synthesized) == len(cases) and lcp._walls == {}
 
 
 def test_one_bound_check_builds_no_wall(monkeypatch, tmp_path):
