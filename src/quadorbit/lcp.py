@@ -179,42 +179,36 @@ def _canonical(cycle: list[int]) -> tuple[int, ...]:
     return tuple(cycle[k:] + cycle[:k])
 
 
-# Walk cache of _locate_on_cycle: (p, state) -> (canonical cycle, index of
-# the state in it).  At about 180 bytes per entry, 2^15 states take about
-# 6 MB, and the whole cycle of every maximal prime below 5000 (at most 2500
-# states) fits many times over.
-_walked: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
-WALK_CACHE_STATES = 1 << 15
-# Per cycle of _walked, keyed by (p, first state of the canonical cycle): the
-# depth J of its number wall and the zero rows j <= J of the rotations that have
-# one (_walls), or the Berlekamp-Massey work its seeds have cost so far,
-# sum n_synthesized^2 / 4 (_bm_work).  Both are emptied with _walked.
-_walls: dict[tuple[int, int], tuple[int, dict[int, list[int]]]] = {}
-_bm_work: dict[tuple[int, int], int] = {}
+class _Cycle:
+    """The cycle last walked by verify_profile_bounds, kept for the next call.
 
-
-def _locate_on_cycle(seed: int, p: int) -> tuple[tuple[int, ...], int]:
-    """(cycle in canonical rotation, index of seed in it) for a seed on a cycle.
-
-    The first seed of a cycle walks it once (logistic_cycle); every state of
-    the cycle then maps to that tuple and its own index, so the other seeds
-    read their rotation off it by slicing, with no walk and no
-    canonicalization.  Only walk data is kept: L(S) stays in
-    _cycle_complexity_cached and no bound value is stored, so patched bound
-    curves never meet stale values.  The cache is emptied whenever a new
-    cycle would take it past WALK_CACHE_STATES; a longer cycle is not kept.
+    states is the canonical rotation and index maps each state to its place in
+    it, so the cycle's other seeds read their rotation with no walk.  l_s is
+    fetched once per cycle; wall_depth and zeros are the depth J of its number
+    wall and _zero_rows of it, and bm_work the Berlekamp-Massey work its seeds
+    have cost so far, sum n_synthesized^2 / 4.  No bound value is stored, so
+    patched bound curves never meet stale values.
     """
-    hit = _walked.get((p, seed))
-    if hit is not None:
-        return hit
-    cycle = _canonical(logistic_cycle(seed, p))
-    if len(_walked) + len(cycle) > WALK_CACHE_STATES:
-        _walked.clear()
-        _walls.clear()
-        _bm_work.clear()
-    if len(cycle) <= WALK_CACHE_STATES:
-        _walked.update(((p, s), (cycle, i)) for i, s in enumerate(cycle))
-    return cycle, cycle.index(seed)
+
+    __slots__ = ("p", "states", "index", "l_s", "wall_depth", "zeros", "bm_work")
+
+    def __init__(self, p: int, states: tuple[int, ...]) -> None:
+        self.p, self.states = p, states
+        self.index = {s: i for i, s in enumerate(states)}
+        self.l_s = _cycle_complexity_cached(p, states)
+        self.wall_depth, self.zeros, self.bm_work = 0, {}, 0
+
+
+_last: _Cycle | None = None
+
+
+def _locate_on_cycle(seed: int, p: int) -> _Cycle:
+    """The cycle through a seed: the last one walked if the seed is on it,
+    else a new walk (logistic_cycle), which replaces it."""
+    global _last
+    if _last is None or _last.p != p or seed not in _last.index:
+        _last = _Cycle(p, _canonical(logistic_cycle(seed, p)))
+    return _last
 
 
 def _hankel_det(seq: Sequence[int], n: int, p: int) -> int:
@@ -394,8 +388,9 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
 
     Any violation is reported with full context rather than raised, so a
     falsification would be visible instead of crashing the sweep.  The
-    seed's cycle comes from the walk cache (one walk per cycle), and the
-    sequence is its rotation starting at the seed.
+    seed's cycle is walked once for consecutive calls on it (_locate_on_cycle;
+    a call on another cycle or prime walks anew), and the sequence is its
+    rotation starting at the seed.
 
     Both bound curves and the profile never decrease in N, which gives two
     shortcuts that leave violations and n_synthesized unchanged:
@@ -423,24 +418,22 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
     if not in_iv_set(seed, p):
         raise DomainError(f"seed {seed} is not in the initial-value set of F_{p}")
     # IV seeds sit on cycles, so the orbit is the pure cycle through the seed.
-    cycle, start = _locate_on_cycle(seed, p)
+    rec = _locate_on_cycle(seed, p)
+    cycle, start, l_s = rec.states, rec.index[seed], rec.l_s
     t = len(cycle)
     m = cycle_modulus(p)
     if n_max is None:
         n_max = 2 * t
-    l_s = _cycle_complexity_cached(p, cycle)
     threshold = max(bound_quadratic(n_max, t, m), bound_sqrt(n_max, l_s))
     depth = max(1, min(math.ceil(threshold), -(-n_max // 2)))
-    key = (p, cycle[0])
-    wall_depth, zeros = _walls.get(key, (0, {}))
     # H_j = 0 for every j > L(S), so no rotation is certified past depth L(S).
-    if wall_depth < depth <= l_s and _bm_work.get(key, 0) >= t * depth:
-        wall_depth, zeros = _walls[key] = depth, _zero_rows(cycle, depth, p)
-    certified = wall_depth >= depth and start not in zeros
+    if rec.wall_depth < depth <= l_s and rec.bm_work >= t * depth:
+        rec.wall_depth, rec.zeros = depth, _zero_rows(cycle, depth, p)
+    certified = rec.wall_depth >= depth and start not in rec.zeros
     if certified:  # L(S, N) = ceil(N/2) first meets the threshold at N = 2 ceil(threshold) - 1
         stop = min(n_max, max(1, 2 * math.ceil(threshold) - 1))
     else:
-        lengths = _wall_profile(zeros[start], wall_depth)[:n_max] if wall_depth >= depth else []
+        lengths = _wall_profile(rec.zeros[start], rec.wall_depth)[:n_max] if rec.wall_depth >= depth else []
         stop = next((n for n, length in enumerate(lengths, 1) if length >= threshold), n_max)
     if not certified and stop > len(lengths):  # no wall yet, or its reading ends before the stop
         steps = _bm_steps((cycle * (-(-n_max // t) + 1))[start : start + n_max], p)  # n_max terms from the seed
@@ -448,8 +441,7 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
         while lengths[-1] < threshold and len(lengths) < n_max:
             lengths.append(next(steps))
         stop = len(lengths)
-        if key in _walked:
-            _bm_work[key] = _bm_work.get(key, 0) + stop * stop // 4
+        rec.bm_work += stop * stop // 4
     violations, n = [], 1
     while n <= stop:  # every N below n was checked or lies under a horizon
         length = (n + 1) // 2 if certified else lengths[n - 1]

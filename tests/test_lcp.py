@@ -418,27 +418,47 @@ def test_synthesized_steps_pinned_over_maximal_primes():
     assert digest.hexdigest() == "f563d0d16b4ec7a774c027be58ed9a7304154e0e021635649c2f5d0c126ea279"
 
 
-def _empty_caches(monkeypatch):
-    for store in ("_walked", "_walls", "_bm_work"):
-        monkeypatch.setattr(lcp, store, {})
-
-
-def test_walk_cache_stays_bounded(monkeypatch):
-    # IV cycles of 5 (p=23), 11 (p=47) and 89 states (p=359): a cache of 12
-    # states is emptied before each new prime, and never holds the last one.
-    # The walls and the BM work go with it: they only ever name kept cycles.
-    cases = [(p, a) for p in (23, 47, 359) for a in build_iv_set(p).elements]
-    expected = [verify_profile_bounds(p, a) for p, a in cases]
-    _empty_caches(monkeypatch)
-    monkeypatch.setattr(lcp, "WALK_CACHE_STATES", 12)
-    walled = set()
+def test_only_the_last_cycle_is_kept(monkeypatch):
+    # Every IV seed of p = 359 (one 89-state cycle, long enough to build a
+    # wall), then seeds of the 60- and 30-state IV cycles of p = 367 taken in
+    # turn, the first of them also a state of the cycle of 359.  Each report
+    # equals a cold one, and only the cycle of the seed just verified is kept.
+    first = build_iv_set(359).elements
+    other = {}
+    for a in build_iv_set(367).elements:
+        other.setdefault(lcp._canonical(logistic_cycle(a, 367)), []).append(a)
+    long, short = sorted(other.values(), key=len, reverse=True)[:2]
+    assert (len(first), len(long), len(short)) == (89, 60, 30)
+    kept = set(lcp._canonical(logistic_cycle(first[0], 359)))
+    shared = next(a for a in long if a in kept)
+    long.remove(shared)
+    cases = [(359, a) for a in first] + [(367, shared)]
+    cases += [(367, a) for pair in zip(short, long) for a in pair]
+    expected = []
+    for p, a in cases:
+        monkeypatch.setattr(lcp, "_last", None)
+        expected.append(verify_profile_bounds(p, a))
+    monkeypatch.setattr(lcp, "_last", None)
+    walled = False
     for (p, a), rep in zip(cases, expected):
-        assert verify_profile_bounds(p, a) == rep
-        assert len(lcp._walked) <= 12
-        assert all(key in lcp._walked for key in [*lcp._walls, *lcp._bm_work])
-        walled.update(lcp._walls)
+        assert verify_profile_bounds(p, a) == rep, (p, a)
+        last = lcp._last
+        assert last.p == p and a in last.index and len(last.states) == rep.period
+        assert last.index == {s: i for i, s in enumerate(last.states)}
+        walled |= last.wall_depth > 0
     assert walled
-    assert not lcp._walls and not lcp._bm_work  # the 89-state cycle is never kept
+
+
+def test_cycle_complexity_is_computed_once_per_cycle(monkeypatch):
+    # L(S) is fetched once per walked cycle, not hashed in on every call.
+    p = 2999
+    assert is_maximal_prime(p).is_maximal
+    monkeypatch.setattr(lcp, "_last", None)
+    lcp._cycle_complexity_cached.cache_clear()
+    for a in build_iv_set(p).elements:
+        verify_profile_bounds(p, a)
+    info = lcp._cycle_complexity_cached.cache_info()
+    assert info.hits + info.misses == 1
 
 
 def _hankel_dets(seq, j, p):
@@ -487,7 +507,8 @@ def test_first_zeros_match_perfect_profiles_on_iv_cycles(reference_profiles):
     for p, seed, t, profile in reference_profiles:
         if p >= 400:
             continue
-        cycle, start = lcp._locate_on_cycle(seed, p)
+        rec = lcp._locate_on_cycle(seed, p)
+        cycle, start = rec.states, rec.index[seed]
         depth = min(t, profile[2 * t - 1])
         if (p, cycle) not in walls:
             walls[p, cycle] = lcp._zero_rows(cycle, depth, p)
@@ -508,7 +529,8 @@ def test_wall_profile_matches_the_textbook_profile_on_iv_cycles(reference_profil
     walls = {}
     with_zero_rows = short = terms = 0
     for p, seed, t, profile in reference_profiles:
-        cycle, start = lcp._locate_on_cycle(seed, p)
+        rec = lcp._locate_on_cycle(seed, p)
+        cycle, start = rec.states, rec.index[seed]
         depth = min(40, profile[2 * t - 1])  # rows past L(S) are all zero
         if (p, cycle) not in walls:
             walls[p, cycle] = lcp._zero_rows(cycle, depth, p)
@@ -527,46 +549,43 @@ def test_wall_profile_matches_the_textbook_profile_on_iv_cycles(reference_profil
 BOUNDS_WINDOW = [p for p in primes_up_to(3200) if p >= 2800 and is_maximal_prime(p).is_maximal]
 
 
-class _NeverPaysOff(dict):
-    """A Berlekamp-Massey work ledger that always reads 0, so no wall is built."""
-
-    def get(self, key, default=None):
-        return 0
-
-
 def test_wall_path_reports_equal_berlekamp_massey_reports(monkeypatch):
     # Every IV seed of the seven maximal primes in [2800, 3200): the reports
-    # with the walls equal those with every seed sent through BM.  With the
-    # walls, BM runs exactly for the seeds verified before their cycle's wall
-    # pays off and for those whose wall reading stops short (H_J = 0): here
-    # 99 of 5,283 seeds, all before their walls.
+    # with the walls equal those with every seed sent through BM from a cold
+    # start.  With the walls, BM runs exactly for the seeds verified before
+    # their cycle's wall pays off and for those whose wall reading stops short
+    # (H_J = 0): here 99 of 5,283 seeds, all before their walls.
     assert len(BOUNDS_WINDOW) == 7
     cases = [(p, a) for p in BOUNDS_WINDOW for a in build_iv_set(p).elements]
     synthesized = []
     counting = lcp._bm_steps
     monkeypatch.setattr(lcp, "_bm_steps", lambda seq, p: synthesized.append(p) or counting(seq, p))
-    _empty_caches(monkeypatch)
+    monkeypatch.setattr(lcp, "_last", None)
     with_walls = []
     for p, a in cases:
         ran = len(synthesized)
         with_walls.append(verify_profile_bounds(p, a))
-        cycle, start = lcp._locate_on_cycle(a, p)
-        depth, zeros = lcp._walls.get((p, cycle[0]), (0, {}))
-        assert (len(synthesized) > ran) == (not depth or depth in zeros.get(start, ())), (p, a)
+        rec = lcp._locate_on_cycle(a, p)
+        depth, zeros = rec.wall_depth, rec.zeros
+        assert (len(synthesized) > ran) == (not depth or depth in zeros.get(rec.index[a], ())), (p, a)
     assert len(synthesized) == 99 and len(cases) == 5283
-    _empty_caches(monkeypatch)
-    monkeypatch.setattr(lcp, "_bm_work", _NeverPaysOff())
     synthesized.clear()
-    assert [verify_profile_bounds(p, a) for p, a in cases] == with_walls
-    assert len(synthesized) == len(cases) and lcp._walls == {}
+    for (p, a), rep in zip(cases, with_walls):
+        monkeypatch.setattr(lcp, "_last", None)
+        assert verify_profile_bounds(p, a) == rep, (p, a)
+        assert lcp._last.wall_depth == 0
+    assert len(synthesized) == len(cases)
 
 
 def test_one_bound_check_builds_no_wall(monkeypatch, tmp_path):
     # A wall costs O(T J) and pays off only over many seeds of one cycle, so
     # neither one verify call nor one `lcp --bounds` command builds one.
-    _empty_caches(monkeypatch)
+    monkeypatch.setattr(lcp, "_last", None)
     p = 6599
-    assert verify_profile_bounds(p, build_iv_set(p).elements[0]).n_synthesized == 297
-    assert lcp._walls == {}
+    seed = build_iv_set(p).elements[0]
+    assert verify_profile_bounds(p, seed).n_synthesized == 297
+    rec = lcp._locate_on_cycle(seed, p)
+    assert (rec.wall_depth, rec.zeros) == (0, {})
+    monkeypatch.setattr(lcp, "_last", None)
     assert main(["lcp", "--p", str(p), "--bounds", "--out", str(tmp_path / "lcp.csv")]) == 0
-    assert lcp._walls == {}
+    assert (lcp._last.wall_depth, lcp._last.zeros) == (0, {})
