@@ -1,22 +1,22 @@
 """Linear complexity profiles and closed-form lower bounds.
 
 The profile L(S, N) is read off the remainder degrees of one Euclid over F_p
-(continued fractions) or synthesized prefix by prefix (Berlekamp-Massey).  A
-periodic sequence's stabilized value is also T - deg gcd(X^T - 1, s^T(X)), a
-separate route, so each checks the other.  Both Euclids run on packed
-polynomials, one int each with a fixed-width slot per coefficient.
+(continued fractions), and tested against Berlekamp-Massey, which synthesizes
+it prefix by prefix.  A periodic sequence's stabilized value is also
+T - deg gcd(X^T - 1, s^T(X)), a separate route, so each checks the other.
+Both Euclids run on packed polynomials, one int each with a fixed-width slot
+per coefficient.
 
-The bound verifier examines a seed's profile up to an early stop, and its
-n_synthesized counts those terms whether Berlekamp-Massey synthesized them
-or a number wall fixed them: the rows j <= J where a rotation's Hankel
-determinant H_j is nonzero give its profile up to N = D + J, D the last one.
+One check, bound_violations, judges a given profile against both bounds.  The
+bound verifier hands it a seed's profile from a prefix Euclid or a number wall:
+the rows j <= J where a rotation's Hankel determinant H_j is nonzero give its
+profile up to N = D + J, D the last one.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import islice
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -25,24 +25,30 @@ from .diagram import cycle_modulus
 from .generator import KIND_LOGISTIC, GeneratorSpec, in_iv_set, logistic_cycle, orbit
 
 
-def _bm_steps(seq: Sequence[int], p: int) -> Iterator[int]:
-    """Yield L(S, N) for N = 1..len(seq), one prefix at a time.
+def berlekamp_massey_profile(seq: Iterable[int], p: int, n_max: int | None = None) -> list[int]:
+    """The linear complexity profile [L(S,1), ..., L(S,n_max)] of seq over F_p.
 
     Berlekamp-Massey over F_p.  The discrepancy at step n is
     s_n + sum_i conn[i] * s_{n-i}, taken as one map over the reversed
     connection polynomial and the len(conn) - 1 terms before s_n (its
     degree never exceeds the current length, which never exceeds n).  The
-    update subtracts coef * X^gap * prev in a plain loop: on the short
-    prefixes that the early-stopping bound check asks for, a slice
-    comprehension there was no faster.
+    update subtracts coef * X^gap * prev in a plain loop.
     """
+    data = [s % p for s in seq]
+    if n_max is None:
+        n_max = len(data)
+    elif n_max < 1:
+        raise DomainError(f"n_max must be >= 1, got {n_max}")
+    if n_max > len(data):
+        raise DomainError(f"profile to N={n_max} needs {n_max} terms, got {len(data)}")
     conn = [1]  # connection polynomial, constant term first
     prev = [1]  # last polynomial before the previous length change
     length = 0
     gap = 1  # X-power separating conn from prev
     prev_disc_inv = 1
-    for n, s_n in enumerate(seq):
-        disc = (s_n + sum(map(mul, conn[:0:-1], seq[n + 1 - len(conn) : n]))) % p
+    profile = []
+    for n, s_n in enumerate(data[:n_max]):
+        disc = (s_n + sum(map(mul, conn[:0:-1], data[n + 1 - len(conn) : n]))) % p
         if disc != 0:
             coef = disc * prev_disc_inv % p
             jump = 2 * length <= n
@@ -63,19 +69,8 @@ def _bm_steps(seq: Sequence[int], p: int) -> Iterator[int]:
                 gap += 1
         else:
             gap += 1
-        yield length
-
-
-def berlekamp_massey_profile(seq: Iterable[int], p: int, n_max: int | None = None) -> list[int]:
-    """The linear complexity profile [L(S,1), ..., L(S,n_max)] of seq over F_p."""
-    data = [s % p for s in seq]
-    if n_max is None:
-        n_max = len(data)
-    elif n_max < 1:
-        raise DomainError(f"n_max must be >= 1, got {n_max}")
-    if n_max > len(data):
-        raise DomainError(f"profile to N={n_max} needs {n_max} terms, got {len(data)}")
-    return list(islice(_bm_steps(data, p), n_max))
+        profile.append(length)
+    return profile
 
 
 def _euclid_profile(seq: Sequence[int], p: int) -> list[int]:
@@ -185,18 +180,18 @@ class _Cycle:
     states is the canonical rotation and index maps each state to its place in
     it, so the cycle's other seeds read their rotation with no walk.  l_s is
     fetched once per cycle; wall_depth and zeros are the depth J of its number
-    wall and _zero_rows of it, and bm_work the Berlekamp-Massey work its seeds
+    wall and _zero_rows of it, and prefix_work the prefix profiles its seeds
     have cost so far, sum n_synthesized^2 / 4.  No bound value is stored, so
     patched bound curves never meet stale values.
     """
 
-    __slots__ = ("p", "states", "index", "l_s", "wall_depth", "zeros", "bm_work")
+    __slots__ = ("p", "states", "index", "l_s", "wall_depth", "zeros", "prefix_work")
 
     def __init__(self, p: int, states: tuple[int, ...]) -> None:
         self.p, self.states = p, states
         self.index = {s: i for i, s in enumerate(states)}
         self.l_s = _cycle_complexity_cached(p, states)
-        self.wall_depth, self.zeros, self.bm_work = 0, {}, 0
+        self.wall_depth, self.zeros, self.prefix_work = 0, {}, 0
 
 
 _last: _Cycle | None = None
@@ -370,7 +365,7 @@ class BoundCheckReport(NamedTuple):
     modulus: int
     linear_complexity: int
     n_checked: int  # the verdict covers N = 1..n_checked
-    n_synthesized: int  # profile terms examined before the early stop, synthesized or certified
+    n_synthesized: int  # the early stop: profile terms examined, computed or certified
     violations: list[BoundViolation]
 
     @property
@@ -383,34 +378,52 @@ class BoundCheckReport(NamedTuple):
 BOUND_SLACK = 1e-9
 
 
+def bound_violations(
+    lengths: Sequence[int] | None, period: int, modulus: int, l_s: int, n_max: int
+) -> tuple[int, list[BoundViolation]]:
+    """The early stop and the violations of a profile against both lower bounds for N <= n_max.
+
+    lengths is [L(S, 1), L(S, 2), ...] given at least up to the early stop, or None for the perfect profile
+    L(S, N) = ceil(N/2).  The curves are read from this module at call time.  They and the profile never
+    decrease in N, which gives two shortcuts that leave the violations unchanged:
+    - once the profile reaches the threshold, the maximum of both curves at n_max, the remaining N are
+      implied and the profile is not examined further; that N, or else n_max, is the early stop;
+    - L(S,n) is first held against both curves at the horizon min(2n, n_max).  If it meets them there, no N
+      from n up to the horizon can violate them, and the check jumps past it; else N = n is checked alone.
+    """
+    threshold = max(bound_quadratic(n_max, period, modulus), bound_sqrt(n_max, l_s))
+    if lengths is None:  # ceil(N/2) first meets the threshold at N = 2 ceil(threshold) - 1
+        stop = min(n_max, max(1, 2 * math.ceil(threshold) - 1))
+    else:
+        stop = next((n for n, length in enumerate(lengths[:n_max], 1) if length >= threshold), n_max)
+    violations, n = [], 1
+    while n <= stop:  # every N below n was checked or lies under a horizon
+        length = (n + 1) // 2 if lengths is None else lengths[n - 1]
+        far = min(2 * n, n_max)
+        if length < max(bound_quadratic(far, period, modulus), bound_sqrt(far, l_s)) - BOUND_SLACK:
+            far, quad, sqr = n, bound_quadratic(n, period, modulus), bound_sqrt(n, l_s)
+            if length < quad - BOUND_SLACK:
+                violations.append(BoundViolation(n=n, observed=length, bound=quad, kind="quadratic"))
+            if length < sqr - BOUND_SLACK:
+                violations.append(BoundViolation(n=n, observed=length, bound=sqr, kind="sqrt"))
+        n = far + 1
+    return stop, violations
+
+
 def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundCheckReport:
-    """Check L(S,N) against both lower bounds for all N <= n_max (default 2T).
+    """Check L(S,N) against both lower bounds for all N <= n_max (default 2T) with bound_violations.
 
-    Any violation is reported with full context rather than raised, so a
-    falsification would be visible instead of crashing the sweep.  The
-    seed's cycle is walked once for consecutive calls on it (_locate_on_cycle;
-    a call on another cycle or prime walks anew), and the sequence is its
-    rotation starting at the seed.
+    Violations are reported, not raised, so a falsification would show instead of crashing a sweep.  The
+    sequence is the seed's rotation of its cycle, walked once for consecutive calls on it (_locate_on_cycle;
+    a call on another cycle or prime walks anew).  n_synthesized is the check's early stop.
 
-    Both bound curves and the profile never decrease in N, which gives two
-    shortcuts that leave violations and n_synthesized unchanged:
-    - once the profile climbs above the maximum of both curves at n_max,
-      the remaining N are implied and the profile is not examined further;
-      n_synthesized counts the terms examined up to that early stop;
-    - once L(S,n) meets both curves at N = n, they are evaluated once more
-      at the horizon min(2n, n_max).  If L(S,n) meets them there too, no N
-      up to the horizon can violate them, and the check jumps past it.
-
-    On the perfect profile L(S, N) = ceil(N/2) the early stop comes by
-    N = 2J, J = max(1, min(ceil(threshold), ceil(n_max/2))), and a seed has
-    that profile up to 2J exactly when its Hankel determinants H_1..H_J are
-    all nonzero.  Such a seed's terms are certified rather than synthesized;
-    a seed with zero rows reads its profile off them (_wall_profile), and
-    only a seed whose reading ends before the early stop, or whose cycle has
-    no wall yet, runs Berlekamp-Massey.  The zero rows of all rotations come
-    from one number wall per cycle (O(T J)), built only once the
-    Berlekamp-Massey work spent on the cycle's seeds, sum n_synthesized^2 / 4,
-    reaches T J, so a single call never pays for one.
+    The perfect profile meets the threshold by N = 2J, J = max(1, min(ceil(threshold), ceil(n_max/2))), and a
+    seed has it up to 2J exactly when its Hankel determinants H_1..H_J are all nonzero: its terms are certified.
+    A seed with zero rows reads its profile off them (_wall_profile).  Only a seed whose reading ends before the
+    early stop, or whose cycle has no wall yet, takes a prefix profile from _euclid_profile: 2 ceil(threshold) + 2
+    terms (at least 2), doubled until it reaches the threshold or n_max.  One number wall per cycle (O(T J))
+    gives the zero rows of all rotations.  It is built once the prefix work spent on the cycle's seeds,
+    sum n_synthesized^2 / 4, reaches T J, so a single call never pays for one.
     """
     if n_max is not None and n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
@@ -427,32 +440,16 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
     threshold = max(bound_quadratic(n_max, t, m), bound_sqrt(n_max, l_s))
     depth = max(1, min(math.ceil(threshold), -(-n_max // 2)))
     # H_j = 0 for every j > L(S), so no rotation is certified past depth L(S).
-    if rec.wall_depth < depth <= l_s and rec.bm_work >= t * depth:
+    if rec.wall_depth < depth <= l_s and rec.prefix_work >= t * depth:
         rec.wall_depth, rec.zeros = depth, _zero_rows(cycle, depth, p)
     certified = rec.wall_depth >= depth and start not in rec.zeros
-    if certified:  # L(S, N) = ceil(N/2) first meets the threshold at N = 2 ceil(threshold) - 1
-        stop = min(n_max, max(1, 2 * math.ceil(threshold) - 1))
-    else:
-        lengths = _wall_profile(rec.zeros[start], rec.wall_depth)[:n_max] if rec.wall_depth >= depth else []
-        stop = next((n for n, length in enumerate(lengths, 1) if length >= threshold), n_max)
-    if not certified and stop > len(lengths):  # no wall yet, or its reading ends before the stop
-        steps = _bm_steps((cycle * (-(-n_max // t) + 1))[start : start + n_max], p)  # n_max terms from the seed
-        lengths = [next(steps)]
-        while lengths[-1] < threshold and len(lengths) < n_max:
-            lengths.append(next(steps))
-        stop = len(lengths)
-        rec.bm_work += stop * stop // 4
-    violations, n = [], 1
-    while n <= stop:  # every N below n was checked or lies under a horizon
-        length = (n + 1) // 2 if certified else lengths[n - 1]
-        quad = bound_quadratic(n, t, m)
-        if length < quad - BOUND_SLACK:
-            violations.append(BoundViolation(n=n, observed=length, bound=quad, kind="quadratic"))
-        sqr = bound_sqrt(n, l_s)
-        if length < sqr - BOUND_SLACK:
-            violations.append(BoundViolation(n=n, observed=length, bound=sqr, kind="sqrt"))
-        far = min(2 * n, n_max)
-        if length >= max(quad, sqr, bound_quadratic(far, t, m), bound_sqrt(far, l_s)) - BOUND_SLACK:
-            n = far
-        n += 1
+    lengths = _wall_profile(rec.zeros[start], rec.wall_depth) if rec.wall_depth >= depth and not certified else []
+    size, prefixed = max(2, 2 * math.ceil(threshold) + 2), False
+    while not certified and (not lengths or lengths[-1] < threshold and len(lengths) < n_max):
+        size, prefixed = min(size, n_max), True
+        lengths = _euclid_profile((cycle * (size // t + 2))[start : start + size], p)  # size terms from the seed
+        size *= 2
+    stop, violations = bound_violations(None if certified else lengths, t, m, l_s, n_max)
+    if prefixed:
+        rec.prefix_work += stop * stop // 4
     return BoundCheckReport(p, seed, t, m, l_s, n_checked=n_max, n_synthesized=stop, violations=violations)

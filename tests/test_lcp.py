@@ -197,7 +197,7 @@ def test_euclid_profile_matches_berlekamp_massey_on_shaped_sequences(p):
     for shape in PROFILE_SHAPES:
         for n in [0, 1, 2, 3, *rng.sample(range(4, 90), 16)]:
             seq = _test_sequence(rng, p, shape, n)
-            assert lcp._euclid_profile(seq, p) == list(lcp._bm_steps(seq, p)), (p, shape, seq)
+            assert lcp._euclid_profile(seq, p) == berlekamp_massey_profile(seq, p), (p, shape, seq)
 
 
 def test_euclid_profile_matches_berlekamp_massey_on_iv_seeds():
@@ -214,7 +214,7 @@ def test_euclid_profile_matches_berlekamp_massey_on_iv_seeds():
             if p > 400:
                 seen.update(cycle)
             seq = cycle * 2
-            assert lcp._euclid_profile(seq, p) == list(lcp._bm_steps(seq, p)), (p, a)
+            assert lcp._euclid_profile(seq, p) == berlekamp_massey_profile(seq, p), (p, a)
             checked += 1
     assert checked == 3432 + 643
 
@@ -228,7 +228,7 @@ def test_euclid_profile_matches_berlekamp_massey_on_iv_seeds():
 )
 def test_euclid_profile_matches_berlekamp_massey_at_every_slot_width(p, shape, n, rng):
     seq = _test_sequence(rng, p, shape, n)
-    assert lcp._euclid_profile(seq, p) == list(lcp._bm_steps(seq, p)), (p, shape, seq)
+    assert lcp._euclid_profile(seq, p) == berlekamp_massey_profile(seq, p), (p, shape, seq)
 
 
 @pytest.mark.parametrize("p", [23, 47, 359, 2999])
@@ -361,8 +361,9 @@ def reference_profiles():
 
 
 def _check_every_seed(cases):
-    """Compare every report field with a bound check at every N <= n_max,
-    using the bound curves the library module currently holds."""
+    """Compare every report field, and bound_violations on the reference
+    profile (None where it is perfect up to its stop), with a bound check at
+    every N <= n_max, using the bound curves the library module currently holds."""
     compared = tripped = 0
     for p, seed, t, profile in cases:
         m, l_s = cycle_modulus(p), profile[2 * t - 1]
@@ -379,6 +380,9 @@ def _check_every_seed(cases):
             violations = [v for v in below if v[0] <= n_checked]
             threshold = max(quad[n_checked - 1], sqr[n_checked - 1])
             n_synthesized = next((n for n in range(1, n_checked + 1) if profile[n - 1] >= threshold), n_checked)
+            perfect = all(profile[n - 1] == (n + 1) // 2 for n in range(1, n_synthesized + 1))
+            stop, found = lcp.bound_violations(None if perfect else profile, t, m, l_s, n_checked)
+            assert (stop, [tuple(v) for v in found]) == (n_synthesized, violations), (p, seed, n_max, perfect)
             rep = verify_profile_bounds(p, seed, None if n_max is None else n_checked)
             got = (rep.p, rep.seed, rep.period, rep.modulus, rep.linear_complexity, rep.n_checked, rep.n_synthesized)
             assert got == (p, seed, t, m, l_s, n_checked, n_synthesized), (p, seed, n_max)
@@ -551,35 +555,37 @@ BOUNDS_WINDOW = [p for p in primes_up_to(3200) if p >= 2800 and is_maximal_prime
 
 def test_wall_path_reports_equal_berlekamp_massey_reports(monkeypatch):
     # Every IV seed of the seven maximal primes in [2800, 3200): the reports
-    # with the walls equal those with every seed sent through BM from a cold
-    # start.  With the walls, BM runs exactly for the seeds verified before
-    # their cycle's wall pays off and for those whose wall reading stops short
-    # (H_J = 0): here 99 of 5,283 seeds, all before their walls.
+    # with the walls equal those with every seed sent through a prefix Euclid
+    # from a cold start.  With the walls, the prefix Euclid runs exactly for
+    # the seeds verified before their cycle's wall pays off and for those
+    # whose wall reading stops short (H_J = 0): here 99 of 5,283 seeds, all
+    # before their walls.
     assert len(BOUNDS_WINDOW) == 7
     cases = [(p, a) for p in BOUNDS_WINDOW for a in build_iv_set(p).elements]
-    synthesized = []
-    counting = lcp._bm_steps
-    monkeypatch.setattr(lcp, "_bm_steps", lambda seq, p: synthesized.append(p) or counting(seq, p))
+    calls = []
+    euclid = lcp._euclid_profile
+    monkeypatch.setattr(lcp, "_euclid_profile", lambda seq, p: calls.append(p) or euclid(seq, p))
     monkeypatch.setattr(lcp, "_last", None)
-    with_walls = []
+    with_walls, prefixed = [], 0  # prefixed counts seeds, as doubling may run several Euclids for one seed
     for p, a in cases:
-        ran = len(synthesized)
+        ran = len(calls)
         with_walls.append(verify_profile_bounds(p, a))
         rec = lcp._locate_on_cycle(a, p)
         depth, zeros = rec.wall_depth, rec.zeros
-        assert (len(synthesized) > ran) == (not depth or depth in zeros.get(rec.index[a], ())), (p, a)
-    assert len(synthesized) == 99 and len(cases) == 5283
-    synthesized.clear()
+        assert (len(calls) > ran) == (not depth or depth in zeros.get(rec.index[a], ())), (p, a)
+        prefixed += len(calls) > ran
+    assert prefixed == 99 and len(cases) == 5283
     for (p, a), rep in zip(cases, with_walls):
         monkeypatch.setattr(lcp, "_last", None)
+        ran = len(calls)
         assert verify_profile_bounds(p, a) == rep, (p, a)
-        assert lcp._last.wall_depth == 0
-    assert len(synthesized) == len(cases)
+        assert lcp._last.wall_depth == 0 and len(calls) > ran, (p, a)
 
 
 def test_one_bound_check_builds_no_wall(monkeypatch, tmp_path):
     # A wall costs O(T J) and pays off only over many seeds of one cycle, so
-    # neither one verify call nor one `lcp --bounds` command builds one.
+    # one verify call builds none, and `lcp --bounds` judges the profile it
+    # prints with no verify call at all.
     monkeypatch.setattr(lcp, "_last", None)
     p = 6599
     seed = build_iv_set(p).elements[0]
@@ -588,4 +594,25 @@ def test_one_bound_check_builds_no_wall(monkeypatch, tmp_path):
     assert (rec.wall_depth, rec.zeros) == (0, {})
     monkeypatch.setattr(lcp, "_last", None)
     assert main(["lcp", "--p", str(p), "--bounds", "--out", str(tmp_path / "lcp.csv")]) == 0
-    assert (lcp._last.wall_depth, lcp._last.zeros) == (0, {})
+    assert lcp._last is None
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        ("lcp --p 6599 --bounds", "e9a70a986a92a67b1f3f8f7530de8b1f66aa336e63487e6a36463d315bb15157"),
+        ("lcp --p 23 --n-max 1 --bounds", "f76a9fb7d491bff28f34998e9c517ba1d47b6f853ec464fde48e0032a26cd516"),
+    ],
+)
+def test_lcp_bounds_judges_the_printed_profile(monkeypatch, capsys, argv, digest):
+    # The verdict comes from bound_violations on the profile `lcp` prints: no
+    # second walk and no verify call.  The digests are of the output from
+    # when the verdict came from verify_profile_bounds.
+    def refuse(*args):
+        raise AssertionError("lcp --bounds must not walk or verify a second time")
+
+    monkeypatch.setattr(lcp, "_last", None)
+    monkeypatch.setattr(lcp, "logistic_cycle", refuse)
+    monkeypatch.setattr(lcp, "verify_profile_bounds", refuse)
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
