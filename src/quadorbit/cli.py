@@ -29,6 +29,7 @@ from .diagram import (
     brute_census,
     census,
     cycle_modulus,
+    maximal_branch,
     two_safe_primes,
 )
 from .errors import BudgetExceededError, DomainError
@@ -334,11 +335,12 @@ def _sampled_primes(bit_size: int, residue: int, sample: int, seed: int, deadlin
 def _cell_stats(
     bit_size: int, residue: int, want_census: bool, sample: int, seed: int, deadline: float | None
 ) -> list[tuple] | None:
-    """_prime_stats of every prime of a cell, in order, or None once the deadline passes (checked while a sampled
-    cell draws its primes, and before every prime: 0.1 against about 25 microseconds of work per prime at 22 bits).
+    """_prime_stats, or (maximal,), of each prime of a cell in order, or None once the deadline passes (checked
+    while a sampled cell draws its primes, and before every prime: 0.1 against about 15 microseconds at 22 bits).
 
     An exhaustive cell lists p and tests m with one sieve up to 2^n and factors every m, m - 1 and q - 1 from one
-    table up to 2^(n-1) + 1; a sampled cell uses is_prime and factorize.  ord_q(2) is memoized for the cell.
+    table up to 2^(n-1) + 1; a sampled cell uses is_prime and factorize.  Its p are proven, so m = (p +- 1)/2 is
+    not re-checked through p, and maximal_branch runs only for a prime m.  ord_q(2) is memoized for the cell.
     """
     if bit_size > EXHAUSTIVE_MAX_BITS:
         primes = _sampled_primes(bit_size, residue, sample, seed, deadline)
@@ -353,15 +355,15 @@ def _cell_stats(
     orders: dict[int, int] = {}
 
     def order_of_2(q: int) -> int:
-        if q not in orders:
-            orders[q] = mult_order(2, q, factor(q - 1))
-        return orders[q]
+        return orders.get(q) or orders.setdefault(q, mult_order(2, q, factor(q - 1)))  # orders are >= 1
 
     stats = []
     for p in primes:
         if deadline is not None and time.monotonic() > deadline:
             return None
-        stats.append(_prime_stats(p, want_census, prime, factor, order_of_2))
+        m = p // 2 + (residue == 1)  # p = 2m + 1 or 2m - 1
+        maximal = bool(prime(m)) and maximal_branch(m, order_of_2) != "fails"
+        stats.append(_prime_stats(m, maximal, factor, order_of_2) if want_census else (maximal,))
     return stats
 
 

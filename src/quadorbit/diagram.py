@@ -26,9 +26,9 @@ from .numtheory import factorize, is_prime, mult_order, prime_flags
 BRUTE_CENSUS_MAX_P = 1 << 24
 
 
-def cycle_modulus(p: int, prime=is_prime) -> int:
-    """The odd m with p = 2m + 1 (p = 3 mod 4) or p = 2m - 1 (p = 1 mod 4); `prime` tests p."""
-    if p <= 3 or not prime(p):
+def cycle_modulus(p: int) -> int:
+    """The odd m with p = 2m + 1 (p = 3 mod 4) or p = 2m - 1 (p = 1 mod 4)."""
+    if p <= 3 or not is_prime(p):
         raise InvalidFieldError(f"{p} is not a prime > 3")
     return (p - 1) // 2 if p % 4 == 3 else (p + 1) // 2
 
@@ -70,36 +70,37 @@ def _order_of_2(q: int) -> int:
 
 
 def _divisor_cycles(m: int, factor=factorize, order_of_2=_order_of_2) -> list[tuple[int, int, int, int]]:
-    """(d, ord_d(2), phi(d), period) for every divisor d > 1 of odd m, sorted by d.
+    """(d, o = ord_d(2), phi(d), b) for every divisor d > 1 of odd m, unsorted: census sorts, a sweep cell sums.
 
-    m is factored once by `factor`, and `order_of_2` gives ord_q(2) for each
-    prime q | m; a sweep cell passes its factor table and a memo.  ord_q(2)
-    is lifted along q^k: ord_{q^k}(2) is ord_{q^(k-1)}(2) or q times it, so
-    its 2-adic valuation stays that of ord_q(2).  A divisor's order is the
-    lcm, and its totient the product, over its prime powers (Cohen, A Course
-    in Computational Algebraic Number Theory, 1.4); the or of their orders'
-    lowest set bits is a single bit above 1 exactly when the period is half
-    the order.
+    m is factored once by `factor`, and `order_of_2` gives ord_q(2) for each prime q | m; a sweep cell passes
+    its factor table and a memo.  ord_q(2) is lifted along q^k: ord_{q^k}(2) is ord_{q^(k-1)}(2) or q times
+    it, so its 2-adic valuation stays that of ord_q(2).  A divisor's order is the lcm, and its totient the
+    product, over its prime powers (Cohen, A Course in Computational Algebraic Number Theory, 1.4).  b is the
+    or of their orders' lowest set bits: the period is half the order, o // 2, exactly when b == o & -o > 1
+    (one shared 2-adic valuation v >= 1), else o.  A prime factor of exponent 1 needs no lifting.
     """
     entries = [(1, 1, 1, 0)]
     for q, e in factor(m).items():
         order = order_of_2(q)
         low = order & -order
-        power, totient = q, q - 1
-        lifted = [(power, order, totient)]
+        if e == 1:
+            entries += [(d * q, lcm(o, order), t * (q - 1), b | low) for d, o, t, b in entries]
+            continue
+        power, totient, lifted = q, q - 1, [(q, order, q - 1)]
         for _ in range(e - 1):
             power, totient = power * q, totient * q
             if pow(2, order, power) != 1:
                 order *= q
             lifted.append((power, order, totient))
         entries += [(d * qk, lcm(o, ok), t * tk, b | low) for d, o, t, b in entries for qk, ok, tk in lifted]
-    return sorted((d, o, t, o // 2 if b == o & -o > 1 else o) for d, o, t, b in entries[1:])
+    return entries[1:]
 
 
 def census(p: int) -> CycleCensus:
     """Per-divisor cycle counts and periods, straight from the formulas."""
     m = cycle_modulus(p)
-    rows = [CensusRow(d, o, t, t // (2 * k), k, minus_one_reachable=k != o) for d, o, t, k in _divisor_cycles(m)]
+    periods = ((d, o, t, o // 2 if b == o & -o > 1 else o) for d, o, t, b in sorted(_divisor_cycles(m)))
+    rows = [CensusRow(d, o, t, t // (2 * k), k, minus_one_reachable=k != o) for d, o, t, k in periods]
     return CycleCensus(p=p, modulus=m, rows=rows)
 
 
@@ -151,17 +152,13 @@ def is_maximal_prime(p: int) -> MaximalityReport:
     return MaximalityReport(p=p, is_maximal=maximal, p1=m, condition_branch=branch, max_period=period)
 
 
-def _prime_stats(p: int, want_census: bool, prime=is_prime, factor=factorize, order_of_2=_order_of_2) -> tuple:
-    """(maximal,) or (maximal, cycles, mean period per cycle, mean period per
-    seed) of p, summed from _divisor_cycles without building census rows."""
-    m = cycle_modulus(p, prime)
-    maximal = bool(prime(m)) and maximal_branch(m, order_of_2) != "fails"
-    if not want_census:
-        return (maximal,)
+def _prime_stats(m: int, maximal: bool, factor=factorize, order_of_2=_order_of_2) -> tuple:
+    """(maximal, cycles, mean period per cycle, mean period per seed) of p = 2m +- 1, summed over _divisor_cycles."""
     cycles = weighted = 0
-    for _, _, totient, period in _divisor_cycles(m, factor, order_of_2):
-        cycles += totient // (2 * period)
-        weighted += totient * period  # twice cycles * period^2, as 2 * period | totient
+    for _, o, t, b in _divisor_cycles(m, factor, order_of_2):
+        k = o // 2 if b == o & -o > 1 else o  # the period
+        cycles += t // (2 * k)
+        weighted += t * k  # twice cycles * period^2, as 2 * period | totient
     states = (m - 1) // 2  # cycles * period sums to phi(d) / 2 over d | m, d > 1
     return maximal, cycles, states / cycles, weighted // 2 / states
 

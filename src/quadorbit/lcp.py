@@ -379,19 +379,20 @@ BOUND_SLACK = 1e-9
 
 
 def bound_violations(
-    lengths: Sequence[int] | None, period: int, modulus: int, l_s: int, n_max: int
+    lengths: Sequence[int] | None, period: int, modulus: int, l_s: int, n_max: int, threshold: float | None = None
 ) -> tuple[int, list[BoundViolation]]:
     """The early stop and the violations of a profile against both lower bounds for N <= n_max.
 
     lengths is [L(S, 1), L(S, 2), ...] given at least up to the early stop, or None for the perfect profile
     L(S, N) = ceil(N/2).  The curves are read from this module at call time.  They and the profile never
     decrease in N, which gives two shortcuts that leave the violations unchanged:
-    - once the profile reaches the threshold, the maximum of both curves at n_max, the remaining N are
-      implied and the profile is not examined further; that N, or else n_max, is the early stop;
+    - once the profile reaches the threshold, the maximum of both curves at n_max (computed here unless the
+      caller passes it), the remaining N are implied and not examined; that N, or else n_max, is the early stop;
     - L(S,n) is first held against both curves at the horizon min(2n, n_max).  If it meets them there, no N
       from n up to the horizon can violate them, and the check jumps past it; else N = n is checked alone.
     """
-    threshold = max(bound_quadratic(n_max, period, modulus), bound_sqrt(n_max, l_s))
+    if threshold is None:
+        threshold = max(bound_quadratic(n_max, period, modulus), bound_sqrt(n_max, l_s))
     if lengths is None:  # ceil(N/2) first meets the threshold at N = 2 ceil(threshold) - 1
         stop = min(n_max, max(1, 2 * math.ceil(threshold) - 1))
     else:
@@ -449,7 +450,7 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
         size, prefixed = min(size, n_max), True
         lengths = _euclid_profile((cycle * (size // t + 2))[start : start + size], p)  # size terms from the seed
         size *= 2
-    stop, violations = bound_violations(None if certified else lengths, t, m, l_s, n_max)
+    stop, violations = bound_violations(None if certified else lengths, t, m, l_s, n_max, threshold)
     if prefixed:
         rec.prefix_work += stop * stop // 4
     return BoundCheckReport(p, seed, t, m, l_s, n_checked=n_max, n_synthesized=stop, violations=violations)

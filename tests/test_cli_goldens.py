@@ -1,6 +1,7 @@
 """Byte goldens for every README command line, in every format it accepts,
-for the O(p) enumerators at sizes where a fast path would show, and for the
-README periods sweep in its p = 1 mod 4 class.
+for the O(p) enumerators at sizes where a fast path would show, for the
+README periods sweep in its p = 1 mod 4 class, and for maximal sweep cells
+of 17 to 20 bits.
 
 The sha256 of stdout and the exit code were recorded from the released
 behaviour (the large-p ones from the per-element Legendre, Tonelli-Shanks
@@ -74,10 +75,12 @@ JSON_SHAPE_GOLDENS = [
     ("fibers --p 7 --format json", 0, "34339dc3f4db28bc5d81e7ccdaeb97439382d5113650f07c3b149ef1f506ac67"),
 ]
 
-# The README sweep's other residue class: its cycle moduli m = (p + 1) / 2.
+# The README sweep's other residue class (its cycle moduli m = (p + 1) / 2),
+# and maximal cells above 16 bits up to the benchmark's 20-bit cell.
 SWEEP_CLASS_GOLDENS = [
     ("sweep --kind periods --n-min 14 --n-max 18 --class 1mod4 --format csv", 0, "dc48fd76914b705125c1f80402ba87107d30f61f04b747977a3e2d10455a3c47"),
     ("sweep --kind periods --n-min 14 --n-max 18 --class 1mod4 --format json", 0, "779e724f608c3781b2cb32ce123e485563949d3128c5012db83a0e073a598643"),
+    ("sweep --kind maximal --n-min 17 --n-max 20 --format csv", 0, "7c4c737914274060d3d58389b5777d4983273e1deadb1f81446291e7f6f6e5de"),
 ]
 
 ALL_GOLDENS = GOLDENS + LARGE_P_GOLDENS + EMPTY_OUTPUT_GOLDENS + JSON_SHAPE_GOLDENS + SWEEP_CLASS_GOLDENS

@@ -146,18 +146,22 @@ def test_divisor_cycles_match_direct_per_divisor_computation():
     # Every divisor of every odd m below 2^13, composite m included: the
     # period read off the 2-adic valuations of the prime-power orders must be
     # the order up to sign, also where those valuations differ (d = 15: 2 and 4).
+    # The table comes in no particular order, so it is sorted here.
     mixed = set()
     for m in range(3, 1 << 13, 2):
-        table = _divisor_cycles(m)
+        table = sorted(_divisor_cycles(m))
         divisors = [1]
         for q, k in factorize(m).items():
             divisors = [d * q**i for d in divisors for i in range(k + 1)]
         assert [row[0] for row in table] == sorted(divisors)[1:], m
-        for d, order, totient, period in table:
+        for d, order, totient, low_bits in table:
             assert order == mult_order(2, d), (m, d)
             assert totient == euler_phi(d), (m, d)
+            period = order // 2 if low_bits == order & -order > 1 else order
             assert period == order_up_to_sign(d), (m, d)
             orders = [mult_order(2, q**k) for q, k in factorize(d).items()]
-            if len({o & -o for o in orders}) > 1:
+            lows = {o & -o for o in orders}
+            assert low_bits == sum(lows), (m, d)  # distinct powers of 2, so their sum is their or
+            if len(lows) > 1:
                 mixed.add(d)
     assert {15, 35} <= mixed
