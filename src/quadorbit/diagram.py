@@ -26,11 +26,16 @@ from .numtheory import factorize, is_prime, mult_order, prime_flags
 BRUTE_CENSUS_MAX_P = 1 << 24
 
 
+def _modulus_of(p: int) -> int:
+    """The odd m with p = 2m + 1 (p = 3 mod 4) or p = 2m - 1 (p = 1 mod 4), for any odd p."""
+    return (p - 1) // 2 if p % 4 == 3 else (p + 1) // 2
+
+
 def cycle_modulus(p: int) -> int:
-    """The odd m with p = 2m + 1 (p = 3 mod 4) or p = 2m - 1 (p = 1 mod 4)."""
+    """_modulus_of(p), once p is checked to be a prime > 3."""
     if p <= 3 or not is_prime(p):
         raise InvalidFieldError(f"{p} is not a prime > 3")
-    return (p - 1) // 2 if p % 4 == 3 else (p + 1) // 2
+    return _modulus_of(p)
 
 
 class CensusRow(NamedTuple):
@@ -70,23 +75,23 @@ def _order_of_2(q: int) -> int:
 
 
 def _divisor_cycles(m: int, factor=factorize, order_of_2=_order_of_2) -> list[tuple[int, int, int, int]]:
-    """(d, o = ord_d(2), phi(d), b) for every divisor d > 1 of odd m, unsorted: census sorts, a sweep cell sums.
+    """(d, ord_d(2), phi(d), b) for every divisor d > 1 of odd m, in no
+    particular order: census sorts the table, a sweep cell sums it.
 
-    m is factored once by `factor`, and `order_of_2` gives ord_q(2) for each prime q | m; a sweep cell passes
-    its factor table and a memo.  ord_q(2) is lifted along q^k: ord_{q^k}(2) is ord_{q^(k-1)}(2) or q times
-    it, so its 2-adic valuation stays that of ord_q(2).  A divisor's order is the lcm, and its totient the
-    product, over its prime powers (Cohen, A Course in Computational Algebraic Number Theory, 1.4).  b is the
-    or of their orders' lowest set bits: the period is half the order, o // 2, exactly when b == o & -o > 1
-    (one shared 2-adic valuation v >= 1), else o.  A prime factor of exponent 1 needs no lifting.
+    m is factored once by `factor`, and `order_of_2` gives ord_q(2) for each
+    prime q | m; a sweep cell passes its factor table and a memo.  ord_q(2)
+    is lifted along q^k: ord_{q^k}(2) is ord_{q^(k-1)}(2) or q times it, so
+    its 2-adic valuation stays that of ord_q(2).  A divisor's order is the
+    lcm, and its totient the product, over its prime powers (Cohen, A Course
+    in Computational Algebraic Number Theory, 1.4); b, the or of their
+    orders' lowest set bits, gives the period (_period).
     """
     entries = [(1, 1, 1, 0)]
     for q, e in factor(m).items():
         order = order_of_2(q)
         low = order & -order
-        if e == 1:
-            entries += [(d * q, lcm(o, order), t * (q - 1), b | low) for d, o, t, b in entries]
-            continue
-        power, totient, lifted = q, q - 1, [(q, order, q - 1)]
+        power, totient = q, q - 1
+        lifted = [(power, order, totient)]
         for _ in range(e - 1):
             power, totient = power * q, totient * q
             if pow(2, order, power) != 1:
@@ -96,10 +101,15 @@ def _divisor_cycles(m: int, factor=factorize, order_of_2=_order_of_2) -> list[tu
     return entries[1:]
 
 
+def _period(o: int, b: int) -> int:
+    """A _divisor_cycles entry's period: half its order o exactly when b == o & -o > 1 (one shared 2-adic valuation)."""
+    return o // 2 if b == o & -o > 1 else o
+
+
 def census(p: int) -> CycleCensus:
     """Per-divisor cycle counts and periods, straight from the formulas."""
     m = cycle_modulus(p)
-    periods = ((d, o, t, o // 2 if b == o & -o > 1 else o) for d, o, t, b in sorted(_divisor_cycles(m)))
+    periods = ((d, o, t, _period(o, b)) for d, o, t, b in sorted(_divisor_cycles(m)))
     rows = [CensusRow(d, o, t, t // (2 * k), k, minus_one_reachable=k != o) for d, o, t, k in periods]
     return CycleCensus(p=p, modulus=m, rows=rows)
 
@@ -152,15 +162,15 @@ def is_maximal_prime(p: int) -> MaximalityReport:
     return MaximalityReport(p=p, is_maximal=maximal, p1=m, condition_branch=branch, max_period=period)
 
 
-def _prime_stats(m: int, maximal: bool, factor=factorize, order_of_2=_order_of_2) -> tuple:
-    """(maximal, cycles, mean period per cycle, mean period per seed) of p = 2m +- 1, summed over _divisor_cycles."""
+def _prime_stats(m: int, factor=factorize, order_of_2=_order_of_2) -> tuple[int, float, float]:
+    """(cycles, mean period per cycle, mean period per seed) of p = 2m +- 1, summed over _divisor_cycles."""
     cycles = weighted = 0
     for _, o, t, b in _divisor_cycles(m, factor, order_of_2):
-        k = o // 2 if b == o & -o > 1 else o  # the period
+        k = _period(o, b)
         cycles += t // (2 * k)
         weighted += t * k  # twice cycles * period^2, as 2 * period | totient
     states = (m - 1) // 2  # cycles * period sums to phi(d) / 2 over d | m, d > 1
-    return maximal, cycles, states / cycles, weighted // 2 / states
+    return cycles, states / cycles, weighted // 2 / states
 
 
 def two_safe_primes(limit: int) -> list[int]:

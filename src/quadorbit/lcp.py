@@ -378,21 +378,24 @@ class BoundCheckReport(NamedTuple):
 BOUND_SLACK = 1e-9
 
 
+def bound_threshold(n_max: int, period: int, modulus: int, l_s: int) -> float:
+    """max(bound_quadratic, bound_sqrt) at n_max, with both curves read from this module at call time."""
+    return max(bound_quadratic(n_max, period, modulus), bound_sqrt(n_max, l_s))
+
+
 def bound_violations(
-    lengths: Sequence[int] | None, period: int, modulus: int, l_s: int, n_max: int, threshold: float | None = None
+    lengths: Sequence[int] | None, period: int, modulus: int, l_s: int, n_max: int, threshold: float
 ) -> tuple[int, list[BoundViolation]]:
     """The early stop and the violations of a profile against both lower bounds for N <= n_max.
 
     lengths is [L(S, 1), L(S, 2), ...] given at least up to the early stop, or None for the perfect profile
     L(S, N) = ceil(N/2).  The curves are read from this module at call time.  They and the profile never
     decrease in N, which gives two shortcuts that leave the violations unchanged:
-    - once the profile reaches the threshold, the maximum of both curves at n_max (computed here unless the
-      caller passes it), the remaining N are implied and not examined; that N, or else n_max, is the early stop;
+    - once the profile reaches the threshold, bound_threshold(n_max, period, modulus, l_s), the remaining N
+      are implied and not examined; that N, or else n_max, is the early stop;
     - L(S,n) is first held against both curves at the horizon min(2n, n_max).  If it meets them there, no N
       from n up to the horizon can violate them, and the check jumps past it; else N = n is checked alone.
     """
-    if threshold is None:
-        threshold = max(bound_quadratic(n_max, period, modulus), bound_sqrt(n_max, l_s))
     if lengths is None:  # ceil(N/2) first meets the threshold at N = 2 ceil(threshold) - 1
         stop = min(n_max, max(1, 2 * math.ceil(threshold) - 1))
     else:
@@ -438,7 +441,7 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
     m = cycle_modulus(p)
     if n_max is None:
         n_max = 2 * t
-    threshold = max(bound_quadratic(n_max, t, m), bound_sqrt(n_max, l_s))
+    threshold = bound_threshold(n_max, t, m, l_s)
     depth = max(1, min(math.ceil(threshold), -(-n_max // 2)))
     # H_j = 0 for every j > L(S), so no rotation is certified past depth L(S).
     if rec.wall_depth < depth <= l_s and rec.prefix_work >= t * depth:

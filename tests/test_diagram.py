@@ -4,6 +4,7 @@ import pytest
 
 from quadorbit.diagram import (
     _divisor_cycles,
+    _period,
     analogous_two_safe_primes,
     brute_census,
     census,
@@ -157,8 +158,7 @@ def test_divisor_cycles_match_direct_per_divisor_computation():
         for d, order, totient, low_bits in table:
             assert order == mult_order(2, d), (m, d)
             assert totient == euler_phi(d), (m, d)
-            period = order // 2 if low_bits == order & -order > 1 else order
-            assert period == order_up_to_sign(d), (m, d)
+            assert _period(order, low_bits) == order_up_to_sign(d), (m, d)
             orders = [mult_order(2, q**k) for q, k in factorize(d).items()]
             lows = {o & -o for o in orders}
             assert low_bits == sum(lows), (m, d)  # distinct powers of 2, so their sum is their or

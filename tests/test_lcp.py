@@ -381,7 +381,7 @@ def _check_every_seed(cases):
             threshold = max(quad[n_checked - 1], sqr[n_checked - 1])
             n_synthesized = next((n for n in range(1, n_checked + 1) if profile[n - 1] >= threshold), n_checked)
             perfect = all(profile[n - 1] == (n + 1) // 2 for n in range(1, n_synthesized + 1))
-            stop, found = lcp.bound_violations(None if perfect else profile, t, m, l_s, n_checked)
+            stop, found = lcp.bound_violations(None if perfect else profile, t, m, l_s, n_checked, threshold)
             assert (stop, [tuple(v) for v in found]) == (n_synthesized, violations), (p, seed, n_max, perfect)
             rep = verify_profile_bounds(p, seed, None if n_max is None else n_checked)
             got = (rep.p, rep.seed, rep.period, rep.modulus, rep.linear_complexity, rep.n_checked, rep.n_synthesized)
@@ -595,6 +595,14 @@ def test_one_bound_check_builds_no_wall(monkeypatch, tmp_path):
     monkeypatch.setattr(lcp, "_last", None)
     assert main(["lcp", "--p", str(p), "--bounds", "--out", str(tmp_path / "lcp.csv")]) == 0
     assert lcp._last is None
+
+
+def test_lcp_bounds_threshold_covers_late_violations(monkeypatch, capsys):
+    # A curve that rises only past N = 20 puts the threshold, its value at
+    # n_max, above every length: the check must not stop before N = 21.
+    monkeypatch.setattr(lcp, "bound_sqrt", lambda n, l_s: 10**6 if n > 20 else -1.0)
+    assert main(["lcp", "--p", "23", "--n-max", "40", "--bounds"]) == 3
+    assert "# bounds_hold: false" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
