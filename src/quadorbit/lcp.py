@@ -78,17 +78,22 @@ def _euclid_profile(seq: Sequence[int], p: int) -> list[int]:
 
     Divide X^N by s_0 X^(N-1) + ... + s_(N-1) (Mills 1975; Dornstetter 1987).  With D_k = N - deg r_k for
     the remainders r_0, r_1, ... and D_(-2) = D_(-1) = 0, L(S, n) = D_k for D_(k-1) + D_k <= n < D_k + D_(k+1),
-    which reaches N once 2 D_k >= N or r_(k+1) = 0.  Only degrees are read.  The packing, elimination,
-    Barrett step and mask are linear_complexity_via_gcd's, copied so that the two routes share no code.
+    which reaches N once 2 D_k >= N or r_(k+1) = 0.  Only degrees are read.  The packing, the two-term
+    elimination, the Barrett step and the mask, with their bounds, are linear_complexity_via_gcd's, copied so
+    that the two routes share no code; only a seq of at most 256 terms is packed by a shift per term instead.
     """
     n_terms = len(seq)
     k = p.bit_length()
-    b = 2 * k + 1
-    w = b + k + 1
+    b = 2 * k + 2
+    w = b + k + 2
     m = (1 << b) // p
-    low = int(("0" * b + "1" * (w - b)) * (n_terms + 1), 2)  # the low w - b bits of every slot
-    u = 1 << w * n_terms
-    v = int("".join(format(c % p, f"0{w}b") for c in seq) or "0", 2)
+    low = ((1 << w * (n_terms + 1)) - 1) // ((1 << w) - 1) * ((1 << w - b) - 1)  # the low w - b bits of every slot
+    u, v = 1 << w * n_terms, 0
+    if n_terms > 256:  # one format call is the faster packing above a few hundred terms
+        v = int((f"{{:0{w}b}}" * n_terms).format(*[c % p for c in seq]), 2)
+    else:
+        for c in seq:
+            v = v << w | c % p
     profile, jump = [], 0  # jump = D_(k-1): L(S, n) for n below D_(k-1) + D_k
     while v:
         dv = (v.bit_length() - 1) // w
@@ -97,11 +102,18 @@ def _euclid_profile(seq: Sequence[int], p: int) -> list[int]:
         if 2 * jump >= n_terms:
             break
         neg_inv = -pow(v >> w * dv, -1, p)
+        top_v = v >> w * (dv - 1) if dv else v << w
         du = (u.bit_length() - 1) // w
         while du >= dv:
-            u += ((u >> w * du) * neg_inv % p) * (v << w * (du - dv))
+            if du > dv:
+                top_u = u >> w * (du - 1)
+                q1 = (top_u >> w) * neg_inv % p
+                u += ((q1 << w | (top_u + q1 * top_v) * neg_inv % p) * v) << w * (du - dv - 1)
+                du -= 2
+            else:
+                u += ((u >> w * du) * neg_inv % p) * v
+                du -= 1
             u -= p * ((u * m >> b) & low)
-            du -= 1
             while du >= 0 and not (u >> w * du) % p:
                 du -= 1
             u &= (1 << w * (du + 1)) - 1
@@ -117,16 +129,20 @@ def linear_complexity_via_gcd(cycle: list[int], p: int) -> int:
 
     Each polynomial is packed into one int, coefficient i in bits
     [w i, w (i + 1)) (Kronecker substitution), so a Euclid step is a few
-    big-int operations on every slot at once.  With k = bits(p):
-    - elimination adds c X^(du - dv) v to u, c = -lead(u) / lead(v) mod p
-      in [1, p - 1], which zeroes lead(u) mod p.  Slots are below 2p
-      before, so below 2p + (p - 1)(2p - 1) < 2p^2 < 2^b, b = 2k + 1, after:
-      all terms are nonnegative and no slot carries into the next;
+    big-int operations on every slot at once.  With k = bits(p), slots below
+    2p before each step, and u_i, v_i the slots of u and v:
+    - while du > dv, a step adds (q1 X + q0) X^(du - dv - 1) v to u, with
+      q1 = -u_du / v_dv and q0 = -(u_(du-1) + q1 v_(dv-1)) / v_dv mod p read
+      off the top two slots of u and v (top_u + q1 top_v is u_(du-1) +
+      q1 v_(dv-1) mod p, its upper slot being 0 mod p), zeroing slots du and
+      du - 1 mod p; at du = dv it adds (-u_du / v_dv) v.  A slot gains at
+      most 2 (p - 1)(2p - 1), so it ends at most (2p - 1)^2 < 4p^2 <= 2^b,
+      b = 2k + 2: all terms are nonnegative and no slot carries into the next;
     - a Barrett step on all slots, q = (u M >> b) & low, M = floor(2^b / p),
       low the bottom w - b bits of each slot, and u -= p q, brings every
-      slot back below 2p and never below 0.  Each slot * M < 2p 2^b <=
-      2^w, w = b + k + 1, so no product spills into the next slot;
-    - the top slot, and below it any slots that are 0 mod p, are masked
+      slot back below 2p and never below 0.  Each slot * M < 4p 2^b <=
+      2^w, w = b + k + 2, so no product spills into the next slot;
+    - the top slots, and below them any slots that are 0 mod p, are masked
       off.  Every slot above the one read is 0 mod p, so (u >> w du) % p
       reads slot du exactly; after the mask, the top slot of u is its
       leading coefficient and the zero polynomial is the int 0.
@@ -136,20 +152,27 @@ def linear_complexity_via_gcd(cycle: list[int], p: int) -> int:
     if t == 0:
         raise DomainError("cycle must be nonempty")
     k = p.bit_length()
-    b = 2 * k + 1
-    w = b + k + 1
+    b = 2 * k + 2
+    w = b + k + 2
     m = (1 << b) // p
-    low = int(("0" * b + "1" * (w - b)) * (t + 1), 2)  # the low w - b bits of every slot
+    low = ((1 << w * (t + 1)) - 1) // ((1 << w) - 1) * ((1 << w - b) - 1)  # the low w - b bits of every slot
     u = (1 << w * t) + p - 1
-    v = int("".join(format(c % p, f"0{w}b") for c in reversed(cycle)), 2)
+    v = int((f"{{:0{w}b}}" * t).format(*[c % p for c in reversed(cycle)]), 2)
     while v:
         dv = (v.bit_length() - 1) // w
         neg_inv = -pow(v >> w * dv, -1, p)
+        top_v = v >> w * (dv - 1) if dv else v << w  # slots dv and dv - 1 of v (0 below slot 0)
         du = (u.bit_length() - 1) // w
         while du >= dv:
-            u += ((u >> w * du) * neg_inv % p) * (v << w * (du - dv))
+            if du > dv:
+                top_u = u >> w * (du - 1)
+                q1 = (top_u >> w) * neg_inv % p
+                u += ((q1 << w | (top_u + q1 * top_v) * neg_inv % p) * v) << w * (du - dv - 1)
+                du -= 2
+            else:
+                u += ((u >> w * du) * neg_inv % p) * v
+                du -= 1
             u -= p * ((u * m >> b) & low)
-            du -= 1
             while du >= 0 and not (u >> w * du) % p:
                 du -= 1
             u &= (1 << w * (du + 1)) - 1
@@ -178,19 +201,21 @@ class _Cycle:
     """The cycle last walked by verify_profile_bounds, kept for the next call.
 
     states is the canonical rotation and index maps each state to its place in
-    it, so the cycle's other seeds read their rotation with no walk.  l_s is
-    fetched once per cycle; wall_depth and zeros are the depth J of its number
-    wall and _zero_rows of it, and prefix_work the prefix profiles its seeds
-    have cost so far, sum n_synthesized^2 / 4.  No bound value is stored, so
-    patched bound curves never meet stale values.
+    it, so the cycle's other seeds read their rotation with no walk.  l_s and m
+    are fetched once per cycle; wall_depth and zeros are the depth J of its
+    number wall and _zero_rows of it, and prefix_work the prefix profiles its
+    seeds have cost so far, sum n_synthesized^2 / 4.  verdicts maps n_max and
+    the two curves, as the module holds them at the call, to the threshold and,
+    once a seed is certified, the perfect profile's stop and violations, so
+    patched curves never meet a verdict taken under others.
     """
 
-    __slots__ = ("p", "states", "index", "l_s", "wall_depth", "zeros", "prefix_work")
+    __slots__ = ("p", "states", "index", "l_s", "m", "verdicts", "wall_depth", "zeros", "prefix_work")
 
     def __init__(self, p: int, states: tuple[int, ...]) -> None:
         self.p, self.states = p, states
         self.index = {s: i for i, s in enumerate(states)}
-        self.l_s = _cycle_complexity_cached(p, states)
+        self.l_s, self.m, self.verdicts = _cycle_complexity_cached(p, states), cycle_modulus(p), {}
         self.wall_depth, self.zeros, self.prefix_work = 0, {}, 0
 
 
@@ -198,10 +223,13 @@ _last: _Cycle | None = None
 
 
 def _locate_on_cycle(seed: int, p: int) -> _Cycle:
-    """The cycle through a seed: the last one walked if the seed is on it,
-    else a new walk (logistic_cycle), which replaces it."""
+    """The cycle through an IV seed: the last one walked if the seed is on it,
+    else a new walk (logistic_cycle), which replaces it.  The logistic map sends
+    the IV set into itself, so only a seed off the kept cycle is tested for it."""
     global _last
     if _last is None or _last.p != p or seed not in _last.index:
+        if not in_iv_set(seed, p):
+            raise DomainError(f"seed {seed} is not in the initial-value set of F_{p}")
         _last = _Cycle(p, _canonical(logistic_cycle(seed, p)))
     return _last
 
@@ -432,28 +460,29 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
     if n_max is not None and n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
     seed %= p
-    if not in_iv_set(seed, p):
-        raise DomainError(f"seed {seed} is not in the initial-value set of F_{p}")
     # IV seeds sit on cycles, so the orbit is the pure cycle through the seed.
     rec = _locate_on_cycle(seed, p)
-    cycle, start, l_s = rec.states, rec.index[seed], rec.l_s
+    cycle, start, l_s, m = rec.states, rec.index[seed], rec.l_s, rec.m
     t = len(cycle)
-    m = cycle_modulus(p)
     if n_max is None:
         n_max = 2 * t
-    threshold = bound_threshold(n_max, t, m, l_s)
+    key = (n_max, bound_quadratic, bound_sqrt)  # the curves the module holds now
+    verdict = rec.verdicts.get(key) or rec.verdicts.setdefault(key, [bound_threshold(n_max, t, m, l_s)])
+    threshold = verdict[0]
     depth = max(1, min(math.ceil(threshold), -(-n_max // 2)))
     # H_j = 0 for every j > L(S), so no rotation is certified past depth L(S).
     if rec.wall_depth < depth <= l_s and rec.prefix_work >= t * depth:
         rec.wall_depth, rec.zeros = depth, _zero_rows(cycle, depth, p)
     certified = rec.wall_depth >= depth and start not in rec.zeros
+    if certified and len(verdict) == 1:
+        verdict += bound_violations(None, t, m, l_s, n_max, threshold)
     lengths = _wall_profile(rec.zeros[start], rec.wall_depth) if rec.wall_depth >= depth and not certified else []
     size, prefixed = max(2, 2 * math.ceil(threshold) + 2), False
     while not certified and (not lengths or lengths[-1] < threshold and len(lengths) < n_max):
         size, prefixed = min(size, n_max), True
         lengths = _euclid_profile((cycle * (size // t + 2))[start : start + size], p)  # size terms from the seed
         size *= 2
-    stop, violations = bound_violations(None if certified else lengths, t, m, l_s, n_max, threshold)
+    stop, violations = verdict[1:] if certified else bound_violations(lengths, t, m, l_s, n_max, threshold)
     if prefixed:
         rec.prefix_work += stop * stop // 4
-    return BoundCheckReport(p, seed, t, m, l_s, n_checked=n_max, n_synthesized=stop, violations=violations)
+    return BoundCheckReport(p, seed, t, m, l_s, n_checked=n_max, n_synthesized=stop, violations=list(violations))

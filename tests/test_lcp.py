@@ -21,7 +21,7 @@ from quadorbit.lcp import (
     profile_for_seed,
     verify_profile_bounds,
 )
-from quadorbit.generator import logistic_cycle
+from quadorbit.generator import in_iv_set, logistic_cycle
 from quadorbit.numtheory import is_prime, primes_up_to
 
 SMALL_PRIMES = [p for p in primes_up_to(100) if p > 2]
@@ -229,6 +229,40 @@ def test_euclid_profile_matches_berlekamp_massey_on_iv_seeds():
 def test_euclid_profile_matches_berlekamp_massey_at_every_slot_width(p, shape, n, rng):
     seq = _test_sequence(rng, p, shape, n)
     assert lcp._euclid_profile(seq, p) == berlekamp_massey_profile(seq, p), (p, shape, seq)
+
+
+# k-bit primes close to 2^k whose 2^(2k + 2) mod p is close to p (251 is the
+# only 8-bit prime above 0.97 * 2^8), so Barrett's M = floor(2^b / p) falls
+# furthest short of 2^b / p and leaves slots of u most often in [p, 2p).
+NEAR_TOP_PRIMES = [251, 8147, 64489, 2108521687, 2248207351885633493]
+
+
+@pytest.mark.parametrize("p", NEAR_TOP_PRIMES)
+def test_packed_euclids_near_the_top_of_their_bit_range(p):
+    # A two-term step takes a slot up to (2p - 1)^2 and Barrett multiplies it
+    # by M, so these primes come nearest to the widths b = 2k + 2 and
+    # w = b + k + 2.  Planted periods give the gcd a degree to get wrong and
+    # the profile long quotients.
+    rng = random.Random(p)
+    for shape in ("top", "random", "planted"):
+        for n in [1, 2, 3, *rng.sample(range(4, 160), 24)]:
+            cycle = _test_cycle(rng, p, shape, n)
+            assert linear_complexity_via_gcd(cycle, p) == _list_euclid_complexity(cycle, p), (p, shape, cycle)
+            seq = _test_sequence(rng, p, shape, n)
+            assert lcp._euclid_profile(seq, p) == berlekamp_massey_profile(seq, p), (p, shape, seq)
+
+
+def test_packed_euclids_on_sequences_whose_slots_pass_2_to_the_2k_plus_1():
+    # Two seeded periodic sequences mod 64489 found by a random search: with b
+    # one bit narrower (and w with it), a slot passes 2^b, Barrett leaves a
+    # slot at 2p or above, and the next step's quotient overflows its bits.
+    p = 64489
+    rng = random.Random(2)
+    cycle = [rng.randrange(p) for _ in range(15)] * 10
+    assert linear_complexity_via_gcd(cycle, p) == _list_euclid_complexity(cycle, p) == 15
+    rng = random.Random(687)
+    seq = [rng.randrange(p) for _ in range(40)] * 4
+    assert lcp._euclid_profile(seq[:150], p) == berlekamp_massey_profile(seq[:150], p)
 
 
 @pytest.mark.parametrize("p", [23, 47, 359, 2999])
@@ -463,6 +497,40 @@ def test_cycle_complexity_is_computed_once_per_cycle(monkeypatch):
         verify_profile_bounds(p, a)
     info = lcp._cycle_complexity_cached.cache_info()
     assert info.hits + info.misses == 1
+
+
+def test_certified_verdicts_never_go_stale(monkeypatch):
+    # Every IV seed of the maximal prime 359 (one 89-state cycle), with
+    # bound_sqrt patched partway to a curve that the perfect profile falls
+    # below.  Each report equals a cold one taken under the curve of its call,
+    # so no verdict taken under the old curve is reused, and owns its list of
+    # violations.  A seed off the kept cycle is still tested for the IV set.
+    p, curve = 359, lambda n, l_s: min(math.sqrt(8 * n) - 1, l_s)
+    seeds = build_iv_set(p).elements
+
+    def verify(cold):
+        monkeypatch.setattr(lcp, "_last", None)
+        reports = []
+        for i, a in enumerate(seeds):
+            if i == 60:
+                walled = lcp._last.wall_depth > 0
+                monkeypatch.setattr(lcp, "bound_sqrt", curve)
+            if cold:
+                lcp._last = None
+            reports.append(verify_profile_bounds(p, a))
+        monkeypatch.setattr(lcp, "bound_sqrt", bound_sqrt)
+        return reports, walled
+
+    expected, _ = verify(cold=True)
+    reports, walled = verify(cold=False)
+    assert walled and reports == expected
+    assert not any(rep.violations for rep in expected[:60]) and all(rep.violations for rep in expected[60:])
+    reports[-1].violations.clear()  # each report owns its list
+    assert reports[:-1] == expected[:-1]
+    outside = next(a for a in range(1, p) if not in_iv_set(a, p))
+    verify_profile_bounds(p, seeds[0])
+    with pytest.raises(DomainError):
+        verify_profile_bounds(p, outside)
 
 
 def _hankel_dets(seq, j, p):
