@@ -80,7 +80,7 @@ def _euclid_profile(seq: Sequence[int], p: int) -> list[int]:
     the remainders r_0, r_1, ... and D_(-2) = D_(-1) = 0, L(S, n) = D_k for D_(k-1) + D_k <= n < D_k + D_(k+1),
     which reaches N once 2 D_k >= N or r_(k+1) = 0.  Only degrees are read.  The packing, the two-term
     elimination, the Barrett step and the mask, with their bounds, are linear_complexity_via_gcd's, copied so
-    that the two routes share no code; only a seq of at most 256 terms is packed by a shift per term instead.
+    that the two routes share no code.
     """
     n_terms = len(seq)
     k = p.bit_length()
@@ -88,12 +88,8 @@ def _euclid_profile(seq: Sequence[int], p: int) -> list[int]:
     w = b + k + 2
     m = (1 << b) // p
     low = ((1 << w * (n_terms + 1)) - 1) // ((1 << w) - 1) * ((1 << w - b) - 1)  # the low w - b bits of every slot
-    u, v = 1 << w * n_terms, 0
-    if n_terms > 256:  # one format call is the faster packing above a few hundred terms
-        v = int((f"{{:0{w}b}}" * n_terms).format(*[c % p for c in seq]), 2)
-    else:
-        for c in seq:
-            v = v << w | c % p
+    u = 1 << w * n_terms
+    v = int((f"{{:0{w}b}}" * n_terms).format(*[c % p for c in seq]) or "0", 2)
     profile, jump = [], 0  # jump = D_(k-1): L(S, n) for n below D_(k-1) + D_k
     while v:
         dv = (v.bit_length() - 1) // w
@@ -205,9 +201,10 @@ class _Cycle:
     are fetched once per cycle; wall_depth and zeros are the depth J of its
     number wall and _zero_rows of it, and prefix_work the prefix profiles its
     seeds have cost so far, sum n_synthesized^2 / 4.  verdicts maps n_max and
-    the two curves, as the module holds them at the call, to the threshold and,
-    once a seed is certified, the perfect profile's stop and violations, so
-    patched curves never meet a verdict taken under others.
+    the two curves, as the module holds them at the call, to a pair: the
+    threshold and, once a seed is certified, the perfect profile's (stop,
+    violations), else None.  Patched curves make a new key, so they never meet
+    a verdict taken under others.
     """
 
     __slots__ = ("p", "states", "index", "l_s", "m", "verdicts", "wall_depth", "zeros", "prefix_work")
@@ -467,22 +464,25 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
     if n_max is None:
         n_max = 2 * t
     key = (n_max, bound_quadratic, bound_sqrt)  # the curves the module holds now
-    verdict = rec.verdicts.get(key) or rec.verdicts.setdefault(key, [bound_threshold(n_max, t, m, l_s)])
-    threshold = verdict[0]
+    verdict = rec.verdicts.get(key)
+    if verdict is None:
+        verdict = rec.verdicts[key] = (bound_threshold(n_max, t, m, l_s), None)
+    threshold, perfect = verdict  # perfect: the perfect profile's (stop, violations), once a seed is certified
     depth = max(1, min(math.ceil(threshold), -(-n_max // 2)))
     # H_j = 0 for every j > L(S), so no rotation is certified past depth L(S).
     if rec.wall_depth < depth <= l_s and rec.prefix_work >= t * depth:
         rec.wall_depth, rec.zeros = depth, _zero_rows(cycle, depth, p)
     certified = rec.wall_depth >= depth and start not in rec.zeros
-    if certified and len(verdict) == 1:
-        verdict += bound_violations(None, t, m, l_s, n_max, threshold)
+    if certified and perfect is None:
+        perfect = bound_violations(None, t, m, l_s, n_max, threshold)
+        rec.verdicts[key] = (threshold, perfect)
     lengths = _wall_profile(rec.zeros[start], rec.wall_depth) if rec.wall_depth >= depth and not certified else []
     size, prefixed = max(2, 2 * math.ceil(threshold) + 2), False
     while not certified and (not lengths or lengths[-1] < threshold and len(lengths) < n_max):
         size, prefixed = min(size, n_max), True
         lengths = _euclid_profile((cycle * (size // t + 2))[start : start + size], p)  # size terms from the seed
         size *= 2
-    stop, violations = verdict[1:] if certified else bound_violations(lengths, t, m, l_s, n_max, threshold)
+    stop, violations = perfect if certified else bound_violations(lengths, t, m, l_s, n_max, threshold)
     if prefixed:
         rec.prefix_work += stop * stop // 4
     return BoundCheckReport(p, seed, t, m, l_s, n_checked=n_max, n_synthesized=stop, violations=list(violations))

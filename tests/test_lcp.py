@@ -135,8 +135,15 @@ def _test_cycle(rng, p, shape, t):
 
 SHAPES = ("random", "planted", "zero", "top", "constant", "sparse")
 
+# k-bit primes close to 2^k whose 2^(2k + 2) mod p is close to p (251 is the
+# only 8-bit prime above 0.97 * 2^8), so Barrett's M = floor(2^b / p) falls
+# furthest short of 2^b / p and leaves slots of u most often in [p, 2p).  A
+# two-term step takes a slot up to (2p - 1)^2 and Barrett multiplies it by M,
+# so these primes come nearest to the widths b = 2k + 2 and w = b + k + 2.
+NEAR_TOP_PRIMES = [251, 8147, 64489, 2108521687, 2248207351885633493]
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 2999, 65537, 2**31 - 1, 2**61 - 1])
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2999, 65537, 2**31 - 1, 2**61 - 1, *NEAR_TOP_PRIMES])
 def test_gcd_route_matches_list_euclid_on_shaped_sequences(p):
     rng = random.Random(p)
     for shape in SHAPES:
@@ -191,7 +198,7 @@ def _test_sequence(rng, p, shape, n):
     return (cycle * n)[:n]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101, 2999, 65537, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101, 2999, 65537, 2**31 - 1, 2**61 - 1, *NEAR_TOP_PRIMES])
 def test_euclid_profile_matches_berlekamp_massey_on_shaped_sequences(p):
     rng = random.Random(p)
     for shape in PROFILE_SHAPES:
@@ -229,27 +236,6 @@ def test_euclid_profile_matches_berlekamp_massey_on_iv_seeds():
 def test_euclid_profile_matches_berlekamp_massey_at_every_slot_width(p, shape, n, rng):
     seq = _test_sequence(rng, p, shape, n)
     assert lcp._euclid_profile(seq, p) == berlekamp_massey_profile(seq, p), (p, shape, seq)
-
-
-# k-bit primes close to 2^k whose 2^(2k + 2) mod p is close to p (251 is the
-# only 8-bit prime above 0.97 * 2^8), so Barrett's M = floor(2^b / p) falls
-# furthest short of 2^b / p and leaves slots of u most often in [p, 2p).
-NEAR_TOP_PRIMES = [251, 8147, 64489, 2108521687, 2248207351885633493]
-
-
-@pytest.mark.parametrize("p", NEAR_TOP_PRIMES)
-def test_packed_euclids_near_the_top_of_their_bit_range(p):
-    # A two-term step takes a slot up to (2p - 1)^2 and Barrett multiplies it
-    # by M, so these primes come nearest to the widths b = 2k + 2 and
-    # w = b + k + 2.  Planted periods give the gcd a degree to get wrong and
-    # the profile long quotients.
-    rng = random.Random(p)
-    for shape in ("top", "random", "planted"):
-        for n in [1, 2, 3, *rng.sample(range(4, 160), 24)]:
-            cycle = _test_cycle(rng, p, shape, n)
-            assert linear_complexity_via_gcd(cycle, p) == _list_euclid_complexity(cycle, p), (p, shape, cycle)
-            seq = _test_sequence(rng, p, shape, n)
-            assert lcp._euclid_profile(seq, p) == berlekamp_massey_profile(seq, p), (p, shape, seq)
 
 
 def test_packed_euclids_on_sequences_whose_slots_pass_2_to_the_2k_plus_1():
