@@ -175,6 +175,8 @@ def _predict(spec: GeneratorSpec) -> OrbitPrediction:
 
 def cmd_orbit(args: argparse.Namespace) -> int:
     kind = {"logistic": KIND_LOGISTIC, "dickson2": KIND_DICKSON, "logistic-general": KIND_LOGISTIC_GENERAL}[args.kind]
+    if args.mu is not None and kind != KIND_LOGISTIC_GENERAL:
+        raise DomainError(f"--mu applies only to --kind logistic-general, not {args.kind}")
     spec = GeneratorSpec(kind=kind, p=args.p, seed=args.seed, mu=args.mu)
     if kind == KIND_LOGISTIC_GENERAL and args.p > ORBIT_MAX_STATES and args.max_steps is None:
         raise DomainError(f"logistic-general orbits have no prediction; above p = {ORBIT_MAX_STATES} pass --max-steps")

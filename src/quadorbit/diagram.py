@@ -12,6 +12,7 @@ that bookkeeping or the brute-force oracle that checks it.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import compress
 from math import lcm
 from typing import NamedTuple
 
@@ -173,30 +174,18 @@ def _prime_stats(m: int, factor=factorize, order_of_2=_order_of_2) -> tuple[int,
     return cycles, states / cycles, weighted // 2 / states
 
 
+def _safe_prime_chains(limit: int, sign: int) -> list[int]:
+    """All primes p = 2*p1 + sign <= limit whose p1 = 2*p2 + 1 is a safe prime (p1 and p2 prime), ascending."""
+    flags = prime_flags(limit)
+    p1s = compress(range((limit - sign) // 2 + 1), flags)
+    return [2 * p1 + sign for p1 in p1s if flags[p1 // 2] and flags[2 * p1 + sign]]
+
+
 def two_safe_primes(limit: int) -> list[int]:
     """All p <= limit with p = 2*p1 + 1, p1 = 2*p2 + 1, and p, p1, p2 prime."""
-    if limit < 11:
-        return []
-    flags = prime_flags(limit)
-    found = []
-    for p in range(11, limit + 1, 4):  # such p are always 3 mod 4
-        if flags[p]:
-            p1 = (p - 1) // 2
-            if flags[p1] and flags[(p1 - 1) // 2]:
-                found.append(p)
-    return found
+    return _safe_prime_chains(limit, 1)
 
 
 def analogous_two_safe_primes(limit: int) -> list[int]:
     """All primes p <= limit, p = 1 mod 4, with p = 2*p1 - 1 and p1 a safe prime."""
-    if limit < 13:
-        return []
-    flags = prime_flags(limit)
-    found = []
-    for p1 in range(3, (limit + 1) // 2 + 1, 2):
-        if not (flags[p1] and flags[(p1 - 1) // 2]):
-            continue
-        p = 2 * p1 - 1
-        if p <= limit and p % 4 == 1 and flags[p]:
-            found.append(p)
-    return found
+    return _safe_prime_chains(limit, -1)

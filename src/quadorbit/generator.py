@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, DomainError, InvalidFieldError
-from .numtheory import factorize, is_prime, legendre, order_up_to_sign, split_two_power, sqrt_mod
+from .numtheory import dickson_eval, factorize, is_prime, legendre, order_up_to_sign, split_two_power, sqrt_mod
 
 KIND_LOGISTIC = "logistic"
 KIND_DICKSON = "dickson2"
@@ -33,34 +33,6 @@ def dickson2_map(x: int, p: int) -> int:
 def conjugate_seed(s: int, p: int) -> int:
     """Map a logistic state to the Dickson state 4s + 2 that shadows it."""
     return (4 * s + 2) % p
-
-
-def dickson_eval(e: int, x: int, a: int, p: int) -> int:
-    """Degree-e Dickson polynomial value D_e(x, a) mod p.
-
-    O(log e) Lucas-style ladder for the recurrence D_0 = 2, D_1 = x,
-    D_e = x * D_{e-1} - a * D_{e-2}, using the doubling identities
-    D_{2k} = D_k^2 - 2a^k and D_{2k+1} = D_k * D_{k+1} - a^k * x.
-    """
-    if e < 0:
-        raise DomainError(f"Dickson degree must be >= 0, got {e}")
-    x %= p
-    a %= p
-    if e == 0:
-        return 2 % p
-    lo, hi = 2 % p, x  # D_k, D_{k+1} for k = 0
-    ak = 1  # a^k
-    for bit in bin(e)[2:]:
-        mid = (lo * hi - ak * x) % p
-        if bit == "1":
-            lo = mid
-            hi = (hi * hi - 2 * ak * a) % p
-            ak = ak * ak * a % p
-        else:
-            hi = mid
-            lo = (lo * lo - 2 * ak) % p
-            ak = ak * ak % p
-    return lo
 
 
 class _SpecFields(NamedTuple):

@@ -85,42 +85,25 @@ def build_iv_set(p: int) -> IvSet:
     return IvSet(p=p, kind=kind, elements=elements)
 
 
-def _seed_from_split_param(t: int, p: int) -> int:
+def seed_from_param(t: int | Fp2Element, p: int | None = None) -> int:
+    """Image ((t - 1/t)/2)^2 of a hyperbola parameter in the initial-value set.
+
+    Split parameters are ints (p required); norm-one parameters are Fp2Element values carrying their own
+    context, and t = c0 + c1*alpha of norm one has 1/t = c0 - c1*alpha, so its image is ns*c1^2 (as in fiber_table).
+    """
+    if isinstance(t, Fp2Element):
+        if t.norm() != 1:
+            raise DomainError(f"parameter {t} does not have norm 1")
+        if t.c1 == 0:
+            raise DegenerateParameterError(f"parameter {t} is +-1")
+        return t.ctx.non_residue * t.c1 * t.c1 % t.ctx.p
+    if p is None:
+        raise DomainError("split parameters need the modulus p")
     t %= p
     if t in (0, 1, p - 1):
         raise DegenerateParameterError(f"parameter {t} mod {p} is outside the split torus")
     half_diff = (t - pow(t, -1, p)) * ((p + 1) // 2) % p
     return half_diff * half_diff % p
-
-
-def _seed_from_norm_one_param(t: Fp2Element) -> int:
-    p, ns = t.ctx.p, t.ctx.non_residue
-    c0, c1 = t.c0, t.c1
-    if (c0 * c0 - ns * c1 * c1) % p != 1:
-        raise DomainError(f"parameter {t} does not have norm 1")
-    if c1 == 0:
-        raise DegenerateParameterError(f"parameter {t} is +-1")
-    # On the norm-one group 1/t is the conjugate (c0, -c1).
-    i0, i1 = c0, -c1 % p
-    inv2 = (p + 1) // 2
-    h0, h1 = (c0 - i0) * inv2 % p, (c1 - i1) * inv2 % p
-    sq0, sq1 = (h0 * h0 + ns * h1 * h1) % p, 2 * h0 * h1 % p
-    if sq1 != 0:
-        raise AssertionError(f"image of {t} left the base field")
-    return sq0
-
-
-def seed_from_param(t: int | Fp2Element, p: int | None = None) -> int:
-    """Image of a hyperbola parameter in the initial-value set.
-
-    Split parameters are ints (p required); norm-one parameters are
-    Fp2Element values carrying their own context.
-    """
-    if isinstance(t, Fp2Element):
-        return _seed_from_norm_one_param(t)
-    if p is None:
-        raise DomainError("split parameters need the modulus p")
-    return _seed_from_split_param(t, p)
 
 
 def fiber_table(p: int) -> list[tuple[int, list[int]]]:
@@ -207,13 +190,8 @@ def conjugation_check(t: int | Fp2Element, p: int | None = None) -> tuple[int, i
     happen for valid parameters (the parameter groups have order 2 * odd),
     so it is signalled rather than silently skipped.
     """
-    if isinstance(t, Fp2Element):
-        a = _seed_from_norm_one_param(t)
-        return logistic_map(a, t.ctx.p), _seed_from_norm_one_param(t * t)
-    if p is None:
-        raise DomainError("split parameters need the modulus p")
-    a = _seed_from_split_param(t, p)
-    return logistic_map(a, p), _seed_from_split_param(t * t % p, p)
+    a = seed_from_param(t, p)
+    return logistic_map(a, t.ctx.p if isinstance(t, Fp2Element) else p), seed_from_param(t * t, p)
 
 
 def preimage_signs(a: int, p: int) -> tuple[int, int]:

@@ -2,8 +2,9 @@
 
 Elements of F_p are plain Python ints reduced into [0, p); the quadratic
 extension F_{p^2} gets a real element class because its arithmetic is not
-built into the language.  Everything here is pure and deterministic: the
-same inputs always produce the same outputs, byte for byte.
+built into the language.  The Dickson/Lucas ladder dickson_eval is here too,
+and square roots come from it.  Everything is pure and deterministic: the
+same inputs always give the same output bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import compress
 from math import gcd, isqrt
 from typing import Callable, NamedTuple
 
-from .errors import InvalidElementError, InvalidFieldError
+from .errors import DomainError, InvalidElementError, InvalidFieldError
 
 # Trial divisors and Miller-Rabin bases of is_prime: the primes up to 53.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -141,10 +142,39 @@ def legendre(a: int, p: int) -> int:
     return result
 
 
+def dickson_eval(e: int, x: int, a: int, p: int) -> int:
+    """Degree-e Dickson polynomial value D_e(x, a) mod p.
+
+    O(log e) Lucas-style ladder for the recurrence D_0 = 2, D_1 = x,
+    D_e = x * D_{e-1} - a * D_{e-2}, using the doubling identities
+    D_{2k} = D_k^2 - 2a^k and D_{2k+1} = D_k * D_{k+1} - a^k * x.
+    """
+    if e < 0:
+        raise DomainError(f"Dickson degree must be >= 0, got {e}")
+    x %= p
+    a %= p
+    if e == 0:
+        return 2 % p
+    lo, hi = 2 % p, x  # D_k, D_{k+1} for k = 0
+    ak = 1  # a^k
+    for bit in bin(e)[2:]:
+        mid = (lo * hi - ak * x) % p
+        if bit == "1":
+            lo = mid
+            hi = (hi * hi - 2 * ak * a) % p
+            ak = ak * ak * a % p
+        else:
+            hi = mid
+            lo = (lo * lo - 2 * ak) % p
+            ak = ak * ak % p
+    return lo
+
+
 def sqrt_mod(a: int, p: int) -> int:
     """A square root of a modulo an odd prime p, normalized to min(r, p - r).
 
-    Tonelli-Shanks, with the direct exponentiation shortcut for p = 3 mod 4.
+    Muller's Lucas-sequence root (2004): for the first P >= 1 with P^2 - 4a a non-residue, X^2 - P*X + a has
+    roots b, b^p in F_{p^2} with b^(p+1) = a, so D_{(p+1)/2}(P, a) = 2 * b^((p+1)/2), twice a root of a in F_p.
     Raises DomainError (via legendre's residue check) if a is a non-residue.
     """
     a %= p
@@ -152,33 +182,10 @@ def sqrt_mod(a: int, p: int) -> int:
         return 0
     if legendre(a, p) != 1:
         raise InvalidElementError(f"{a} is not a quadratic residue mod {p}")
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # Write p - 1 = q * 2^s with q odd.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        t2i = t
-        i = 0
-        for i in range(1, m):
-            t2i = t2i * t2i % p
-            if t2i == 1:
-                break
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
+    P = 1
+    while legendre(P * P - 4 * a, p) != -1:
+        P += 1
+    r = dickson_eval((p + 1) // 2, P, a, p) * ((p + 1) // 2) % p
     return min(r, p - r)
 
 

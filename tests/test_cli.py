@@ -94,6 +94,14 @@ def test_orbit_rejects_bad_p(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("kind", [[], ["--kind", "dickson2"]])
+def test_orbit_refuses_mu_outside_logistic_general(capsys, kind):
+    assert main(["orbit", "--p", "23", "--seed", "1", "--mu", "5", *kind]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--mu applies only to --kind logistic-general" in captured.err
+    assert run_cli(capsys, "orbit", "--p", "23", "--seed", "1", "--mu", "5", "--kind", "logistic-general")[0] == 0
+
+
 def test_fibers_tables(capsys):
     code, out = run_cli(capsys, "fibers", "--p", "23")
     assert code == 0

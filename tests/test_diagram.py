@@ -89,6 +89,7 @@ def test_two_safe_primes_sequence():
     assert two_safe_primes(4100)[:10] == FIRST_TEN_TWO_SAFE
     assert two_safe_primes(4079) == FIRST_TEN_TWO_SAFE
     assert two_safe_primes(10) == []
+    assert two_safe_primes(11) == [11]  # the first prime sits on the search's upper range bound
 
 
 def test_two_safe_primes_chains_are_prime():
@@ -111,6 +112,7 @@ def test_two_safe_primes_are_maximal():
 def test_analogous_two_safe():
     assert analogous_two_safe_primes(10**6) == [13]
     assert analogous_two_safe_primes(12) == []
+    assert analogous_two_safe_primes(13) == [13]  # the first prime sits on the search's upper range bound
     rep = is_maximal_prime(13)
     assert rep.is_maximal and rep.p1 == 7
 

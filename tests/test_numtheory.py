@@ -92,6 +92,15 @@ def test_sqrt_mod_roundtrip():
                 r = sqrt_mod(a, p)
                 assert r * r % p == a % p
                 assert r <= p - r
+    # Primes whose p - 1 holds a large power of two, then 61- and 80-bit primes = 1 and 3 mod 4, on random residues.
+    large = [3 * 2**30 + 1, 6 * 2**40 + 1, 27 * 2**40 + 1, 2**61 - 31, 2**61 - 1, 2**80 - 143, 2**80 - 65]
+    rng = random.Random(24)
+    for p in large:
+        assert is_prime(p)
+        for _ in range(20):
+            a = pow(rng.randrange(1, p), 2, p)
+            r = sqrt_mod(a, p)
+            assert r * r % p == a and r <= p - r, (a, p)
     with pytest.raises(InvalidElementError):
         sqrt_mod(5, 23)  # 5 is a non-residue mod 23
 
