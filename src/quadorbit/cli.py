@@ -167,10 +167,9 @@ def _render(
 def _predict(spec: GeneratorSpec) -> OrbitPrediction:
     if spec.kind == KIND_LOGISTIC_GENERAL:
         raise DomainError("prediction is only available for control parameter 4")
-    if spec.kind == KIND_DICKSON:
-        # Shadow seed of the logistic chain this Dickson orbit conjugates.
-        return predict_orbit(spec.p, (spec.seed - 2) * pow(4, -1, spec.p) % spec.p, "any")
-    return predict_orbit(spec.p, spec.seed, "iv_set" if in_iv_set(spec.seed, spec.p) else "any")
+    # A Dickson orbit takes the shadow seed of the logistic chain it conjugates.
+    seed = (spec.seed - 2) * pow(4, -1, spec.p) % spec.p if spec.kind == KIND_DICKSON else spec.seed
+    return predict_orbit(spec.p, seed, "any")
 
 
 def cmd_orbit(args: argparse.Namespace) -> int:

@@ -174,18 +174,14 @@ def _prime_stats(m: int, factor=factorize, order_of_2=_order_of_2) -> tuple[int,
     return cycles, states / cycles, weighted // 2 / states
 
 
-def _safe_prime_chains(limit: int, sign: int) -> list[int]:
-    """All primes p = 2*p1 + sign <= limit whose p1 = 2*p2 + 1 is a safe prime (p1 and p2 prime), ascending."""
-    flags = prime_flags(limit)
-    p1s = compress(range((limit - sign) // 2 + 1), flags)
-    return [2 * p1 + sign for p1 in p1s if flags[p1 // 2] and flags[2 * p1 + sign]]
-
-
 def two_safe_primes(limit: int) -> list[int]:
-    """All p <= limit with p = 2*p1 + 1, p1 = 2*p2 + 1, and p, p1, p2 prime."""
-    return _safe_prime_chains(limit, 1)
+    """All p <= limit with p = 2*p1 + 1, p1 = 2*p2 + 1, and p, p1, p2 prime, ascending (one sieve search over p1)."""
+    flags = prime_flags(limit)
+    p1s = compress(range((limit - 1) // 2 + 1), flags)
+    return [2 * p1 + 1 for p1 in p1s if flags[p1 // 2] and flags[2 * p1 + 1]]
 
 
 def analogous_two_safe_primes(limit: int) -> list[int]:
-    """All primes p <= limit, p = 1 mod 4, with p = 2*p1 - 1 and p1 a safe prime."""
-    return _safe_prime_chains(limit, -1)
+    """All p = 2*p1 - 1 <= limit with p1 = 2*p2 + 1 and p, p1, p2 prime: [13] from 13 on.  As p = 4*p2 + 1,
+    p2 = 1 mod 3 makes 3 | p1 and p2 = 2 mod 3 makes 3 | p, so only p2 = 3 leaves p1 = 7 and p = 13 prime."""
+    return [13] if limit >= 13 else []

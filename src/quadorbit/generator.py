@@ -181,32 +181,22 @@ def in_iv_set(a: int, p: int) -> bool:
 def predict_orbit(p: int, seed: int, seed_class: str = "iv_set") -> OrbitPrediction:
     """Predict (tail length, period) of the logistic orbit of seed mod p.
 
-    Both classes take the order of a parameter t with t + 1/t = u from
-    lucas_order (dividing p - 1 or p + 1 as u^2 - 4 is a square or not)
-    and write it as 2^e * m with m odd.
+    lucas_order gives the order of a parameter t with t + 1/t = u = 4s + 2,
+    the conjugate Dickson seed (the conjugation is a bijection on states),
+    written 2^e * m with m odd: the tail is e, and the period is the least k
+    with 2^k = +-1 mod m, or 1 (degenerate) when m = 1.
 
-    seed_class "iv_set" requires the seed a to lie in the long-period
-    initial-value set, whose hyperbola parameters have u = 2 * sqrt(a + 1).
-    The tail is 0 for e = 0 and e - 1 otherwise, and the period is the
-    least k with 2^k = +-1 mod m.
-
-    seed_class "any" accepts every seed and takes u = 4s + 2, the conjugate
-    Dickson seed; there the tail is e.  The conjugation is a bijection on
-    states, so tail and period apply to the logistic orbit of the seed.
+    seed_class "any" accepts every seed, "iv_set" only the long-period
+    initial-value set.  There t = t'^2 for a hyperbola parameter t' with
+    t' + 1/t' = 2 * sqrt(a + 1) (Vasiga-Shallit); both parameter groups have
+    order 2 * odd, so e = 0 and m, the odd part of ord(t'), is at least 3.
     """
     if not is_prime(p) or p <= 3:
         raise InvalidFieldError(f"{p} is not a prime > 3")
     seed %= p
-    if seed_class == "iv_set":
-        if not in_iv_set(seed, p):
-            raise DomainError(f"seed {seed} is not in the initial-value set of F_{p}")
-        e, m = split_two_power(lucas_order(2 * sqrt_mod(seed + 1, p), p))
-        # Parameters of the initial-value set always have m >= 3: the
-        # 2-power-order elements of either parameter group are just +-1.
-        return OrbitPrediction(tail_length=0 if e == 0 else e - 1, period=order_up_to_sign(m))
-    if seed_class == "any":
-        e, m = split_two_power(lucas_order(conjugate_seed(seed, p), p))
-        if m == 1:
-            return OrbitPrediction(tail_length=e, period=1, degenerate=True)
-        return OrbitPrediction(tail_length=e, period=order_up_to_sign(m))
-    raise DomainError(f"unknown seed class {seed_class!r}")
+    if seed_class not in ("iv_set", "any"):
+        raise DomainError(f"unknown seed class {seed_class!r}")
+    if seed_class == "iv_set" and not in_iv_set(seed, p):
+        raise DomainError(f"seed {seed} is not in the initial-value set of F_{p}")
+    e, m = split_two_power(lucas_order(conjugate_seed(seed, p), p))
+    return OrbitPrediction(tail_length=e, period=order_up_to_sign(m) if m > 1 else 1, degenerate=m == 1)

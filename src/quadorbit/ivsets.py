@@ -88,7 +88,7 @@ def build_iv_set(p: int) -> IvSet:
 def seed_from_param(t: int | Fp2Element, p: int | None = None) -> int:
     """Image ((t - 1/t)/2)^2 of a hyperbola parameter in the initial-value set.
 
-    Split parameters are ints (p required); norm-one parameters are Fp2Element values carrying their own
+    Split parameters are ints modulo a prime p = 3 mod 4; norm-one parameters are Fp2Element values carrying their own
     context, and t = c0 + c1*alpha of norm one has 1/t = c0 - c1*alpha, so its image is ns*c1^2 (as in fiber_table).
     """
     if isinstance(t, Fp2Element):
@@ -99,6 +99,8 @@ def seed_from_param(t: int | Fp2Element, p: int | None = None) -> int:
         return t.ctx.non_residue * t.c1 * t.c1 % t.ctx.p
     if p is None:
         raise DomainError("split parameters need the modulus p")
+    if param_kind(p) != KIND_SPLIT:
+        raise DomainError(f"int parameters are split ones, which need p = 3 mod 4, got p={p}")
     t %= p
     if t in (0, 1, p - 1):
         raise DegenerateParameterError(f"parameter {t} mod {p} is outside the split torus")
@@ -165,21 +167,19 @@ def param_fibers(p: int) -> dict[int, list[int] | list[Fp2Element]]:
 def canonical_param(a: int, p: int) -> int | Fp2Element:
     """The smallest parameter mapping to a (ints by value, else (c0, c1) order).
 
-    Recovered from square roots of a and a + 1 in O(log p) rather than by
-    scanning the parameter space; the tie-break is an artifact convention.
+    Read off the hyperbola as in fiber_table, from the roots r of a and s of
+    a + 1, both below p/2: the split minimum is its lo, and the norm-one one
+    is c0 = s with c1 = sqrt(a/ns), in O(log p) rather than by a scan.
     """
     a %= p
     if not in_iv_set(a, p):
         raise DomainError(f"{a} is not in the initial-value set of F_{p}")
+    s = sqrt_mod(a + 1, p)
     if param_kind(p) == KIND_SPLIT:
-        t = (sqrt_mod(a, p) + sqrt_mod(a + 1, p)) % p
-        t_inv = pow(t, -1, p)
-        return min(t, p - t, t_inv, p - t_inv)
+        r = sqrt_mod(a, p)  # a is a non-residue for p = 1 mod 4
+        return min(abs(s - r), s + r, p - s - r)
     ctx = fp2_context(p)
-    c1 = sqrt_mod(a * pow(ctx.non_residue, -1, p) % p, p)
-    t = ctx.elem(sqrt_mod(a + 1, p), c1)
-    t_inv = t.inverse()
-    return min((t, -t, t_inv, -t_inv), key=lambda x: (x.c0, x.c1))
+    return ctx.elem(s, sqrt_mod(a * pow(ctx.non_residue, -1, p) % p, p))
 
 
 def conjugation_check(t: int | Fp2Element, p: int | None = None) -> tuple[int, int]:

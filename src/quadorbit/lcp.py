@@ -330,11 +330,11 @@ def bound_sqrt(n: int, linear_complexity: int) -> float:
 
 
 def bound_dickson(n: int, period: int, p: int) -> float:
-    """The older degree-2 Dickson bound min(N^2, 4T^2) / (16(p+1)) - sqrt(p+1).
+    """The older degree-2 Dickson bound min(N^2, 4T^2) / (16(p+1)) - sqrt(p+1): bound_quadratic at m = p + 1.
 
     Kept as a comparison curve; the IV-set bound dominates it pointwise.
     """
-    return min(n * n, 4 * period * period) / (16 * (p + 1)) - math.sqrt(p + 1)
+    return bound_quadratic(n, period, p + 1)
 
 
 class LcpProfile(NamedTuple):

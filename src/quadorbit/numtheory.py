@@ -289,16 +289,16 @@ def mult_order(g: int, n: int, group_order_factorization: dict[int, int] | None 
     return k
 
 
-def order_up_to_sign(m: int, g: int = 2) -> int:
-    """Least k >= 1 with g^k = +1 or -1 mod m, for odd m >= 3.
+def order_up_to_sign(m: int) -> int:
+    """Least k >= 1 with 2^k = +1 or -1 mod m, for odd m >= 3.
 
-    Equals the order of g mod m when -1 is not a power of g, and half the
+    Equals the order of 2 mod m when -1 is not a power of 2, and half the
     order otherwise.
     """
     if m < 3 or m % 2 == 0:
         raise InvalidElementError(f"order up to sign needs odd m >= 3, got {m}")
-    k = mult_order(g, m)
-    if k % 2 == 0 and pow(g, k // 2, m) == m - 1:
+    k = mult_order(2, m)
+    if k % 2 == 0 and pow(2, k // 2, m) == m - 1:
         return k // 2
     return k
 

@@ -112,7 +112,14 @@ def test_two_safe_primes_are_maximal():
 def test_analogous_two_safe():
     assert analogous_two_safe_primes(10**6) == [13]
     assert analogous_two_safe_primes(12) == []
-    assert analogous_two_safe_primes(13) == [13]  # the first prime sits on the search's upper range bound
+    assert analogous_two_safe_primes(13) == [13]  # the limit is inclusive
+
+    # A plain trial-division scan for chains p = 2*p1 - 1, p1 = 2*p2 + 1, all prime: the oracle for the closed form.
+    def prime(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    scanned = [p for p in range(5, 10**5 + 1, 4) if prime(p) and prime((p + 1) // 2) and prime((p - 1) // 4)]
+    assert scanned == analogous_two_safe_primes(10**5) == [13]
     rep = is_maximal_prime(13)
     assert rep.is_maximal and rep.p1 == 7
 

@@ -1,4 +1,5 @@
 import gc
+import random
 from itertools import compress
 
 import pytest
@@ -233,6 +234,14 @@ def test_seed_from_param_degenerate():
         seed_from_param(ctx.elem(2, 3))  # norm != 1
     with pytest.raises(DomainError):
         seed_from_param(5)  # missing modulus
+    # Int parameters are split ones: p must be a prime = 3 mod 4.  The IV sets of 5 and 13 are {3} and
+    # {2, 8, 11}, so images 4 and 9 would lie outside them.
+    for t, p in ((2, 5), (3, 13)):
+        with pytest.raises(DomainError):
+            seed_from_param(t, p)
+    for t in (2, 3):
+        with pytest.raises(InvalidFieldError):
+            seed_from_param(t, 9)
 
 
 def test_param_fibers_reproduce_tables():
@@ -302,6 +311,30 @@ def test_canonical_param_is_fiber_minimum():
             else:
                 lo = min(fiber, key=lambda x: (x.c0, x.c1))
                 assert (t.c0, t.c1) == (lo.c0, lo.c1)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**61 - 31, 2**80 - 65, 2**80 - 143])
+def test_canonical_param_at_61_and_80_bits(p):
+    # 61- and 80-bit primes of both classes, far past any fiber table: each canonical parameter maps back to
+    # its seed and is the least of the four members +-t, +-1/t of its fiber, inverted here independently.
+    rng = random.Random(p)
+    seeds = []
+    while len(seeds) < 20:
+        a = rng.randrange(p)
+        if in_iv_set(a, p):
+            seeds.append(a)
+    for a in seeds:
+        t = canonical_param(a, p)
+        if param_kind(p) == KIND_SPLIT:
+            t_inv = pow(t, -1, p)
+            fiber = [t, p - t, t_inv, p - t_inv]
+            assert [seed_from_param(x, p) for x in fiber] == [a] * 4
+            assert t == min(fiber), (p, a)
+        else:
+            t_inv = t.inverse()
+            fiber = [t, -t, t_inv, -t_inv]
+            assert [seed_from_param(x) for x in fiber] == [a] * 4
+            assert (t.c0, t.c1) == min((x.c0, x.c1) for x in fiber), (p, a)
 
 
 def test_conjugation_check_examples():
