@@ -66,8 +66,8 @@ SAMPLE_MAX = 1 << 18
 ORBIT_MAX_STATES = 1 << 22
 
 # Largest orbit (tail + period) that lcp walks and largest number of profile
-# terms it computes.  The gcd is O(T^2) and the profile's Euclid O(N^2): at the
-# limit, lcp --bounds --format json takes 2.7-3.2 s on a 2-core x86-64 machine.
+# terms it computes.  The gcd (O(T^2)) and the profile (O(N^2)) share one packed
+# Euclid: at the limit, lcp --bounds --format json takes 2.2-2.3 s on 2 x86-64 cores.
 LCP_MAX_TERMS = 12_000
 
 # Widest sweep cell whose primes is_prime proves: every n-bit prime is below 2^n.

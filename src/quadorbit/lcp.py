@@ -3,9 +3,9 @@
 The profile L(S, N) is read off the remainder degrees of one Euclid over F_p
 (continued fractions), and tested against Berlekamp-Massey, which synthesizes
 it prefix by prefix.  A periodic sequence's stabilized value is also
-T - deg gcd(X^T - 1, s^T(X)), a separate route, so each checks the other.
-Both Euclids run on packed polynomials, one int each with a fixed-width slot
-per coefficient.
+T - deg gcd(X^T - 1, s^T(X)), a separate route checked against it.  Both
+routes read remainder degrees off one kernel, _remainder_degrees, a Euclid on
+packed polynomials, one int each with a fixed-width slot per coefficient.
 
 One check, bound_violations, judges a given profile against both bounds.  The
 bound verifier hands it a seed's profile from a prefix Euclid or a number wall:
@@ -73,60 +73,14 @@ def berlekamp_massey_profile(seq: Iterable[int], p: int, n_max: int | None = Non
     return profile
 
 
-def _euclid_profile(seq: Sequence[int], p: int) -> list[int]:
-    """[L(S, 1), ..., L(S, N)] of seq over F_p, N = len(seq), from one Euclid (continued fractions).
+def _remainder_degrees(coeffs: Sequence[int], p: int, constant: int) -> Iterator[int]:
+    """The degree of each nonzero remainder of Euclid over F_p on u = X^n + constant and v = sum coeffs[i] X^(n-1-i).
 
-    Divide X^N by s_0 X^(N-1) + ... + s_(N-1) (Mills 1975; Dornstetter 1987).  With D_k = N - deg r_k for
-    the remainders r_0, r_1, ... and D_(-2) = D_(-1) = 0, L(S, n) = D_k for D_(k-1) + D_k <= n < D_k + D_(k+1),
-    which reaches N once 2 D_k >= N or r_(k+1) = 0.  Only degrees are read.  The packing, the two-term
-    elimination, the Barrett step and the mask, with their bounds, are linear_complexity_via_gcd's, copied so
-    that the two routes share no code.
-    """
-    n_terms = len(seq)
-    k = p.bit_length()
-    b = 2 * k + 2
-    w = b + k + 2
-    m = (1 << b) // p
-    low = ((1 << w * (n_terms + 1)) - 1) // ((1 << w) - 1) * ((1 << w - b) - 1)  # the low w - b bits of every slot
-    u = 1 << w * n_terms
-    v = int((f"{{:0{w}b}}" * n_terms).format(*[c % p for c in seq]) or "0", 2)
-    profile, jump = [], 0  # jump = D_(k-1): L(S, n) for n below D_(k-1) + D_k
-    while v:
-        dv = (v.bit_length() - 1) // w
-        profile += [jump] * (min(jump + n_terms - dv - 1, n_terms) - len(profile))
-        jump = n_terms - dv
-        if 2 * jump >= n_terms:
-            break
-        neg_inv = -pow(v >> w * dv, -1, p)
-        top_v = v >> w * (dv - 1) if dv else v << w
-        du = (u.bit_length() - 1) // w
-        while du >= dv:
-            if du > dv:
-                top_u = u >> w * (du - 1)
-                q1 = (top_u >> w) * neg_inv % p
-                u += ((q1 << w | (top_u + q1 * top_v) * neg_inv % p) * v) << w * (du - dv - 1)
-                du -= 2
-            else:
-                u += ((u >> w * du) * neg_inv % p) * v
-                du -= 1
-            u -= p * ((u * m >> b) & low)
-            while du >= 0 and not (u >> w * du) % p:
-                du -= 1
-            u &= (1 << w * (du + 1)) - 1
-        u, v = v, u
-    return profile + [jump] * (n_terms - len(profile))
-
-
-def linear_complexity_via_gcd(cycle: list[int], p: int) -> int:
-    """L(S) of the T-periodic sequence with one period given by cycle.
-
-    Computed as T - deg gcd(X^T - 1, s^T(X)) by polynomial Euclid over F_p.
-    An all-zero cycle gives 0.
-
-    Each polynomial is packed into one int, coefficient i in bits
-    [w i, w (i + 1)) (Kronecker substitution), so a Euclid step is a few
-    big-int operations on every slot at once.  With k = bits(p), slots below
-    2p before each step, and u_i, v_i the slots of u and v:
+    n = len(coeffs) and 0 <= constant < p; deg v is the first degree yielded.  Each
+    polynomial is packed into one int, coefficient i in bits [w i, w (i + 1))
+    (Kronecker substitution), so a Euclid step is a few big-int operations on
+    every slot at once.  With k = bits(p), slots below 2p before each step, and
+    u_i, v_i the slots of u and v:
     - while du > dv, a step adds (q1 X + q0) X^(du - dv - 1) v to u, with
       q1 = -u_du / v_dv and q0 = -(u_(du-1) + q1 v_(dv-1)) / v_dv mod p read
       off the top two slots of u and v (top_u + q1 top_v is u_(du-1) +
@@ -144,18 +98,17 @@ def linear_complexity_via_gcd(cycle: list[int], p: int) -> int:
       leading coefficient and the zero polynomial is the int 0.
     b and w are the least widths that keep these bounds for every k-bit p.
     """
-    t = len(cycle)
-    if t == 0:
-        raise DomainError("cycle must be nonempty")
+    n = len(coeffs)
     k = p.bit_length()
     b = 2 * k + 2
     w = b + k + 2
     m = (1 << b) // p
-    low = ((1 << w * (t + 1)) - 1) // ((1 << w) - 1) * ((1 << w - b) - 1)  # the low w - b bits of every slot
-    u = (1 << w * t) + p - 1
-    v = int((f"{{:0{w}b}}" * t).format(*[c % p for c in reversed(cycle)]), 2)
+    low = ((1 << w * (n + 1)) - 1) // ((1 << w) - 1) * ((1 << w - b) - 1)  # the low w - b bits of every slot
+    u = (1 << w * n) + constant
+    v = int((f"{{:0{w}b}}" * n).format(*[c % p for c in coeffs]) or "0", 2)
     while v:
         dv = (v.bit_length() - 1) // w
+        yield dv
         neg_inv = -pow(v >> w * dv, -1, p)
         top_v = v >> w * (dv - 1) if dv else v << w  # slots dv and dv - 1 of v (0 below slot 0)
         du = (u.bit_length() - 1) // w
@@ -173,7 +126,39 @@ def linear_complexity_via_gcd(cycle: list[int], p: int) -> int:
                 du -= 1
             u &= (1 << w * (du + 1)) - 1
         u, v = v, u
-    return t - (u.bit_length() - 1) // w
+
+
+def _euclid_profile(seq: Sequence[int], p: int) -> list[int]:
+    """[L(S, 1), ..., L(S, N)] of seq over F_p, N = len(seq), from one Euclid (continued fractions).
+
+    Divide X^N by s_0 X^(N-1) + ... + s_(N-1) (Mills 1975; Dornstetter 1987).  With D_k = N - deg r_k for
+    the remainders r_0, r_1, ... and D_(-2) = D_(-1) = 0, L(S, n) = D_k for D_(k-1) + D_k <= n < D_k + D_(k+1),
+    which reaches N once 2 D_k >= N or r_(k+1) = 0.  Only degrees are read, off _remainder_degrees.
+    """
+    n_terms = len(seq)
+    profile, jump = [], 0  # jump = D_(k-1): L(S, n) for n below D_(k-1) + D_k
+    for dv in _remainder_degrees(seq, p, 0):
+        profile += [jump] * (min(jump + n_terms - dv - 1, n_terms) - len(profile))
+        jump = n_terms - dv
+        if 2 * jump >= n_terms:
+            break
+    return profile + [jump] * (n_terms - len(profile))
+
+
+def linear_complexity_via_gcd(cycle: list[int], p: int) -> int:
+    """L(S) of the T-periodic sequence with one period given by cycle.
+
+    Computed as T - deg gcd(X^T - 1, s^T(X)) by polynomial Euclid over F_p:
+    the gcd is the last remainder that _remainder_degrees yields, s^T(X)
+    being the period reversed, top coefficient first.  An all-zero cycle gives 0.
+    """
+    t = len(cycle)
+    if t == 0:
+        raise DomainError("cycle must be nonempty")
+    degree = t
+    for degree in _remainder_degrees(cycle[::-1], p, p - 1):
+        pass
+    return t - degree
 
 
 @lru_cache(maxsize=64)

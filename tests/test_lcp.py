@@ -238,6 +238,35 @@ def test_euclid_profile_matches_berlekamp_massey_at_every_slot_width(p, shape, n
     assert lcp._euclid_profile(seq, p) == berlekamp_massey_profile(seq, p), (p, shape, seq)
 
 
+def _list_remainder_degrees(u, v, p):
+    """Degrees of the nonzero remainders of Euclid on coefficient lists (constant term first), v's first."""
+    degrees = []
+    while v and v[-1] == 0:
+        v = v[:-1]
+    while v:
+        degrees.append(len(v) - 1)
+        u, v = v, _poly_divmod_degree(u, v, p)
+    return degrees
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(primes_of_every_bit_length(), st.sampled_from(NEAR_TOP_PRIMES)),
+    st.sampled_from(PROFILE_SHAPES),
+    st.integers(1, 80),
+    st.randoms(use_true_random=False),
+)
+def test_remainder_degrees_match_list_euclid_on_both_inputs(p, shape, n, rng):
+    # Every remainder degree in order, not only the last one that the gcd
+    # reads or the ones before 2 D_k >= N that the profile reads: X^T - 1 by
+    # s^T(X) for the gcd, and X^N by s_0 X^(N-1) + ... + s_(N-1) for the profile.
+    seq = _test_sequence(rng, p, shape, n)
+    gcd_input = _list_remainder_degrees([p - 1] + [0] * (n - 1) + [1], seq, p)
+    assert list(lcp._remainder_degrees(seq[::-1], p, p - 1)) == gcd_input, (p, shape, seq)
+    profile_input = _list_remainder_degrees([0] * n + [1], seq[::-1], p)
+    assert list(lcp._remainder_degrees(seq, p, 0)) == profile_input, (p, shape, seq)
+
+
 def test_packed_euclids_on_sequences_whose_slots_pass_2_to_the_2k_plus_1():
     # Two seeded periodic sequences mod 64489 found by a random search: with b
     # one bit narrower (and w with it), a slot passes 2^b, Barrett leaves a
