@@ -17,6 +17,7 @@ import random
 import sys
 import time
 from contextlib import nullcontext
+from functools import cache
 from itertools import chain, compress, count, islice, product
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -269,8 +270,9 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         seed = next(a for a in count(1) if in_iv_set(a, p))
     if args.bounds and not in_iv_set(seed, p):
         raise DomainError(f"--bounds needs a seed in the initial-value set, got {seed}")
-    # Analytic, so a long orbit of a large p is refused before any walk.
+    # Analytic, so a long orbit of a large p is refused before any walk; it checks p, so the seed is reduced after.
     pred = predict_orbit(p, seed, "any")
+    seed %= p
     terms = args.n_max if args.n_max is not None else 2 * pred.period
     if max(pred.tail_length + pred.period, terms) > LCP_MAX_TERMS:
         raise DomainError(
@@ -354,13 +356,7 @@ def _cell_stats(
         start = (1 << (bit_size - 1)) + residue  # 2^(n-1) = 0 mod 4 for n >= 3
         primes = list(compress(range(start, 1 << bit_size, 4), flags[start::4]))
         prime, factor = flags.__getitem__, table_factorizer((1 << (bit_size - 1)) + 1)
-    orders: dict[int, int] = {}
-
-    def order_of_2(q: int) -> int:
-        if q not in orders:
-            orders[q] = mult_order(2, q, factor(q - 1))
-        return orders[q]
-
+    order_of_2 = cache(lambda q: mult_order(2, q, factor(q - 1)))
     stats = []
     for p in primes:
         if deadline is not None and time.monotonic() > deadline:

@@ -129,15 +129,11 @@ def logistic_cycle(seed: int, p: int) -> list[int]:
 
 
 def logistic_preimages(a: int, p: int) -> tuple[int, ...]:
-    """All x with 4x(x+1) = a mod p, sorted; solved via (2x+1)^2 = a + 1."""
-    a %= p
-    rhs = (a + 1) % p
-    inv2 = (p + 1) // 2
-    if rhs == 0:
-        return ((p - 1) * inv2 % p,)
-    if legendre(rhs, p) == -1:
-        return ()
-    r = sqrt_mod(rhs, p)
+    """All x with 4x(x+1) = a mod p, sorted; solved via (2x+1)^2 = a + 1 (legendre checks p before any % p)."""
+    sign, inv2 = legendre(a + 1, p), (p + 1) // 2
+    if sign < 1:
+        return ((p - 1) // 2,) if sign == 0 else ()
+    r = sqrt_mod(a + 1, p)
     return tuple(sorted(((r - 1) * inv2 % p, (-r - 1) * inv2 % p)))
 
 

@@ -171,9 +171,9 @@ def canonical_param(a: int, p: int) -> int | Fp2Element:
     a + 1, both below p/2: the split minimum is its lo, and the norm-one one
     is c0 = s with c1 = sqrt(a/ns), in O(log p) rather than by a scan.
     """
+    if not in_iv_set(a, p):  # in_iv_set checks p before any % p
+        raise DomainError(f"{a % p} is not in the initial-value set of F_{p}")
     a %= p
-    if not in_iv_set(a, p):
-        raise DomainError(f"{a} is not in the initial-value set of F_{p}")
     s = sqrt_mod(a + 1, p)
     if param_kind(p) == KIND_SPLIT:
         r = sqrt_mod(a, p)  # a is a non-residue for p = 1 mod 4
@@ -200,9 +200,9 @@ def preimage_signs(a: int, p: int) -> tuple[int, int]:
     Ordered by preimage value; the two signs always differ, which is what
     pins every initial-value element onto a cycle.
     """
+    if not in_iv_set(a, p):  # in_iv_set checks p before any % p
+        raise DomainError(f"{a % p} is not in the initial-value set of F_{p}")
     a %= p
-    if not in_iv_set(a, p):
-        raise DomainError(f"{a} is not in the initial-value set of F_{p}")
     pre = logistic_preimages(a, p)
     if len(pre) != 2:
         raise AssertionError(f"IV element {a} mod {p} has {len(pre)} preimages")

@@ -205,14 +205,15 @@ _last: _Cycle | None = None
 
 
 def _locate_on_cycle(seed: int, p: int) -> _Cycle:
-    """The cycle through an IV seed: the last one walked if the seed is on it,
+    """The cycle through an IV seed: the last one walked if the seed mod p is on it,
     else a new walk (logistic_cycle), which replaces it.  The logistic map sends
-    the IV set into itself, so only a seed off the kept cycle is tested for it."""
+    the IV set into itself, so only a seed off the kept cycle is tested for it,
+    and p with it (before any % p): the kept cycle's p passed that test."""
     global _last
-    if _last is None or _last.p != p or seed not in _last.index:
+    if _last is None or _last.p != p or seed % p not in _last.index:
         if not in_iv_set(seed, p):
-            raise DomainError(f"seed {seed} is not in the initial-value set of F_{p}")
-        _last = _Cycle(p, _canonical(logistic_cycle(seed, p)))
+            raise DomainError(f"seed {seed % p} is not in the initial-value set of F_{p}")
+        _last = _Cycle(p, _canonical(logistic_cycle(seed % p, p)))
     return _last
 
 
@@ -394,27 +395,23 @@ def bound_threshold(n_max: int, period: int, modulus: int, l_s: int) -> float:
 
 
 def bound_violations(
-    lengths: Sequence[int] | None, period: int, modulus: int, l_s: int, n_max: int, threshold: float
+    lengths: Sequence[int], period: int, modulus: int, l_s: int, n_max: int, threshold: float
 ) -> tuple[int, list[BoundViolation]]:
     """The early stop and the violations of a profile against both lower bounds for N <= n_max.
 
-    lengths is [L(S, 1), L(S, 2), ...] given at least up to the early stop, or None for the perfect profile
-    L(S, N) = ceil(N/2).  The curves are read from this module at call time.  They and the profile never
-    decrease in N, which gives two shortcuts that leave the violations unchanged:
-    - once the profile reaches the threshold, bound_threshold(n_max, period, modulus, l_s), the remaining N
-      are implied and not examined; that N, or else n_max, is the early stop;
-    - L(S,n) is first held against both curves at the horizon min(2n, n_max).  If it meets them there, no N
-      from n up to the horizon can violate them, and the check jumps past it; else N = n is checked alone.
+    lengths is [L(S, 1), L(S, 2), ...] given at least up to the early stop, and threshold is
+    bound_threshold(n_max, period, modulus, l_s).  The curves are read from this module at call time.  They and
+    the profile never decrease in N, which gives two shortcuts that leave the violations unchanged:
+    - once the profile reaches the threshold the remaining N are implied and not examined; that N, or else n_max,
+      is the early stop;
+    - L(S,n) is first held against bound_threshold at the horizon min(2n, n_max).  If it meets it there, no N from
+      n up to the horizon can violate a curve, and the check jumps past it; else N = n is checked alone.
     """
-    if lengths is None:  # ceil(N/2) first meets the threshold at N = 2 ceil(threshold) - 1
-        stop = min(n_max, max(1, 2 * math.ceil(threshold) - 1))
-    else:
-        stop = next((n for n, length in enumerate(lengths[:n_max], 1) if length >= threshold), n_max)
+    stop = next((n for n, length in enumerate(lengths[:n_max], 1) if length >= threshold), n_max)
     violations, n = [], 1
     while n <= stop:  # every N below n was checked or lies under a horizon
-        length = (n + 1) // 2 if lengths is None else lengths[n - 1]
-        far = min(2 * n, n_max)
-        if length < max(bound_quadratic(far, period, modulus), bound_sqrt(far, l_s)) - BOUND_SLACK:
+        length, far = lengths[n - 1], min(2 * n, n_max)
+        if length < bound_threshold(far, period, modulus, l_s) - BOUND_SLACK:
             far, quad, sqr = n, bound_quadratic(n, period, modulus), bound_sqrt(n, l_s)
             if length < quad - BOUND_SLACK:
                 violations.append(BoundViolation(n=n, observed=length, bound=quad, kind="quadratic"))
@@ -441,9 +438,9 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
     """
     if n_max is not None and n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
-    seed %= p
     # IV seeds sit on cycles, so the orbit is the pure cycle through the seed.
     rec = _locate_on_cycle(seed, p)
+    seed %= p
     cycle, start, l_s, m = rec.states, rec.index[seed], rec.l_s, rec.m
     t = len(cycle)
     if n_max is None:
@@ -459,7 +456,7 @@ def verify_profile_bounds(p: int, seed: int, n_max: int | None = None) -> BoundC
         rec.wall_depth, rec.zeros = depth, _zero_rows(cycle, depth, p)
     certified = rec.wall_depth >= depth and start not in rec.zeros
     if certified and perfect is None:
-        perfect = bound_violations(None, t, m, l_s, n_max, threshold)
+        perfect = bound_violations(_wall_profile((), rec.wall_depth), t, m, l_s, n_max, threshold)
         rec.verdicts[key] = (threshold, perfect)
     lengths = _wall_profile(rec.zeros[start], rec.wall_depth) if rec.wall_depth >= depth and not certified else []
     size, prefixed = max(2, 2 * math.ceil(threshold) + 2), False

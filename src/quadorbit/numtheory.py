@@ -54,11 +54,7 @@ def is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r, d = split_two_power(n - 1)
     for bound, k in _MR_TIERS:
         if n < bound:
             break
@@ -131,9 +127,9 @@ def legendre(a: int, p: int) -> int:
     result = 1
     n = p
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
+        if not a & 1:  # an odd a skips the call
+            e, a = split_two_power(a)
+            if e % 2 and n % 8 in (3, 5):
                 result = -result
         a, n = n, a
         if a % 4 == 3 and n % 4 == 3:
@@ -175,13 +171,13 @@ def sqrt_mod(a: int, p: int) -> int:
 
     Muller's Lucas-sequence root (2004): for the first P >= 1 with P^2 - 4a a non-residue, X^2 - P*X + a has
     roots b, b^p in F_{p^2} with b^(p+1) = a, so D_{(p+1)/2}(P, a) = 2 * b^((p+1)/2), twice a root of a in F_p.
-    Raises DomainError (via legendre's residue check) if a is a non-residue.
+    Raises InvalidElementError if a is a non-residue; a p that is not an odd prime raises legendre's InvalidFieldError.
     """
+    if legendre(a, p) == -1:
+        raise InvalidElementError(f"{a % p} is not a quadratic residue mod {p}")
     a %= p
     if a == 0:
         return 0
-    if legendre(a, p) != 1:
-        raise InvalidElementError(f"{a} is not a quadratic residue mod {p}")
     P = 1
     while legendre(P * P - 4 * a, p) != -1:
         P += 1
@@ -304,12 +300,11 @@ def order_up_to_sign(m: int) -> int:
 
 
 def split_two_power(n: int) -> tuple[int, int]:
-    """Write n = 2^e * m with m odd; returns (e, m)."""
-    e = 0
-    while n % 2 == 0:
-        n //= 2
-        e += 1
-    return e, n
+    """Write n = 2^e * m with m odd, for n != 0; returns (e, m), e read off the lowest set bit n & -n."""
+    if n == 0:
+        raise DomainError("0 has no odd part")
+    e = (n & -n).bit_length() - 1
+    return e, n >> e
 
 
 class Fp2Element:

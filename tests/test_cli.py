@@ -179,6 +179,16 @@ def test_lcp_bounds_need_iv_seed(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("seed", [-22, 1000])
+def test_lcp_prints_the_seed_mod_p(capsys, seed, fmt):
+    code, out = run_cli(capsys, "lcp", "--p", "23", "--seed", str(seed), "--format", fmt)
+    assert (code, out) == run_cli(capsys, "lcp", "--p", "23", "--seed", str(seed % 23), "--format", fmt)
+    assert f"# seed: {seed % 23}\n" in out if fmt == "csv" else json.loads(out)["seed"] == seed % 23
+    assert main(["lcp", "--p", "0", "--seed", "3", "--format", fmt]) == 1
+    assert capsys.readouterr().err == "quadorbit: error: 0 is not a prime > 3\n"
+
+
 def test_sweep_small_and_deterministic(tmp_path, capsys):
     args = ["sweep", "--kind", "maximal", "--n-min", "3", "--n-max", "6"]
     first = tmp_path / "a.csv"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import quadorbit
 from quadorbit.diagram import brute_census, census
 from quadorbit.errors import DegenerateParameterError, DomainError, InvalidFieldError
-from quadorbit.generator import logistic_map
+from quadorbit.generator import logistic_map, logistic_preimages
 from quadorbit.ivsets import (
     KIND_NORM_ONE,
     KIND_SPLIT,
@@ -23,6 +23,7 @@ from quadorbit.ivsets import (
     preimage_signs,
     seed_from_param,
 )
+from quadorbit.lcp import verify_profile_bounds
 from quadorbit.numtheory import fp2_context, legendre, primes_up_to, sqrt_mod
 
 PRIMES = [p for p in primes_up_to(500) if p > 3]
@@ -373,6 +374,25 @@ def test_preimage_signs_split_and_product_law():
             assert s1 * s2 == legendre(-1, p) * legendre(a, p)
     with pytest.raises(DomainError):
         preimage_signs(5, 23)
+
+
+@pytest.mark.parametrize("p", [0, 1, 9, -7])
+def test_entry_points_check_p_before_using_it_as_a_modulus(p):
+    """Each call raises the InvalidFieldError it raises for p = 9, with p in place of 9: no ZeroDivisionError at
+    p = 0, and no answer for a non-prime p from an a = 0 mod p or a + 1 = 0 mod p shortcut."""
+    calls = [
+        (lambda: verify_profile_bounds(p, 1), "is not a prime > 3"),
+        (lambda: canonical_param(1, p), "is not a prime > 3"),
+        (lambda: preimage_signs(1, p), "is not a prime > 3"),
+        (lambda: sqrt_mod(1, p), "is not an odd prime"),
+        (lambda: sqrt_mod(p, p), "is not an odd prime"),
+        (lambda: logistic_preimages(1, p), "is not an odd prime"),
+        (lambda: logistic_preimages(p - 1, p), "is not an odd prime"),
+    ]
+    for call, text in calls:
+        with pytest.raises(InvalidFieldError) as raised:
+            call()
+        assert str(raised.value) == f"{p} {text}"
 
 
 def test_iv_set_closed_under_logistic_map():

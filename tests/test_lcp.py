@@ -411,8 +411,8 @@ def reference_profiles():
 
 def _check_every_seed(cases):
     """Compare every report field, and bound_violations on the reference
-    profile (None where it is perfect up to its stop), with a bound check at
-    every N <= n_max, using the bound curves the library module currently holds."""
+    profile, with a bound check at every N <= n_max, using the bound curves
+    the library module currently holds."""
     compared = tripped = 0
     for p, seed, t, profile in cases:
         m, l_s = cycle_modulus(p), profile[2 * t - 1]
@@ -430,7 +430,7 @@ def _check_every_seed(cases):
             threshold = max(quad[n_checked - 1], sqr[n_checked - 1])
             n_synthesized = next((n for n in range(1, n_checked + 1) if profile[n - 1] >= threshold), n_checked)
             perfect = all(profile[n - 1] == (n + 1) // 2 for n in range(1, n_synthesized + 1))
-            stop, found = lcp.bound_violations(None if perfect else profile, t, m, l_s, n_checked, threshold)
+            stop, found = lcp.bound_violations(profile, t, m, l_s, n_checked, threshold)
             assert (stop, [tuple(v) for v in found]) == (n_synthesized, violations), (p, seed, n_max, perfect)
             rep = verify_profile_bounds(p, seed, None if n_max is None else n_checked)
             got = (rep.p, rep.seed, rep.period, rep.modulus, rep.linear_complexity, rep.n_checked, rep.n_synthesized)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from quadorbit.errors import InvalidElementError, InvalidFieldError
+from quadorbit.errors import DomainError, InvalidElementError, InvalidFieldError
 from quadorbit.numtheory import (
     MR_PROVEN_LIMIT,
     euler_phi,
@@ -189,6 +189,17 @@ def test_order_up_to_sign_rejects_even_or_small():
 def test_split_two_power():
     assert split_two_power(40) == (3, 5)
     assert split_two_power(1) == (0, 1)
+    assert split_two_power(-8) == (3, -1)
+    assert split_two_power(3 << 200) == (200, 3)
+    rng = random.Random(27)
+    for n in [rng.randrange(1, 1 << 80) << rng.randrange(90) for _ in range(500)] + list(range(-300, 0)):
+        e, m = 0, n
+        while m % 2 == 0:
+            m //= 2
+            e += 1
+        assert split_two_power(n) == (e, m), n
+    with pytest.raises(DomainError):
+        split_two_power(0)
 
 
 def test_fp2_context_picks_smallest_non_residue():
