@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import InvalidFieldError
 from .generator import logistic_cycle
-from .ivsets import build_iv_set, check_enumerable
+from .ivsets import check_enumerable, member_blocks, param_kind
 from .numtheory import factorize, is_prime, mult_order, prime_flags
 
 
@@ -118,19 +118,19 @@ def census(p: int) -> CycleCensus:
 def brute_census(p: int) -> Counter[int]:
     """Observed cycle lengths on the initial-value set: {period: count}.
 
-    Walks the logistic map from every element, deduplicating cycles.  This
-    is the oracle the census formulas are checked against.
+    Walks the logistic map from each member_blocks flag still set, clearing the flags of the states it walks.
+    This is the oracle the census formulas are checked against.
     """
     check_enumerable(p, BRUTE_CENSUS_MAX_P, "the cycles")
-    iv = build_iv_set(p)
-    visited: set[int] = set()
+    todo = bytearray().join([b"\0", *member_blocks(p, param_kind(p))])  # byte a flags element a
     counts: Counter[int] = Counter()
-    for a in iv.elements:
-        if a in visited:
-            continue
+    a = 0
+    while (a := todo.find(1, a)) >= 0:
         cycle = logistic_cycle(a, p)
-        visited.update(cycle)
+        for x in cycle:
+            todo[x] = 0
         counts[len(cycle)] += 1
+        del cycle  # else the next walk builds its list beside this one
     return counts
 
 

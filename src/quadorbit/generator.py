@@ -22,6 +22,8 @@ _KINDS = (KIND_LOGISTIC, KIND_DICKSON, KIND_LOGISTIC_GENERAL)
 
 def logistic_map(s: int, p: int, mu: int = 4) -> int:
     """One logistic step mu * s * (s + 1) mod p."""
+    if p < 2:
+        raise InvalidFieldError(f"{p} is not a prime")
     return mu * s * (s + 1) % p
 
 

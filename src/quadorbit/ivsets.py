@@ -13,7 +13,7 @@ from __future__ import annotations
 import gc
 from array import array
 from itertools import compress
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import DegenerateParameterError, DomainError, InvalidFieldError
 from .generator import in_iv_set, logistic_map, logistic_preimages
@@ -28,7 +28,7 @@ KIND_NORM_ONE = "norm_one"
 IV_SET_MAX_P = 1 << 24
 FIBERS_MAX_P = 1 << 22
 
-# Flags per big-int compare in build_iv_set.  Freeing a block above glibc's 128 KB mmap threshold raises the
+# Flags per big-int compare in member_blocks.  Freeing a block above glibc's 128 KB mmap threshold raises the
 # threshold, and the element list then grows on the heap: ivset at 2^24 peaked at 219 MB against 190 MB.
 SCAN_CHUNK = 1 << 16
 
@@ -61,27 +61,30 @@ class IvSet(NamedTuple):
         return (self.p - 3) // 4 if self.kind == KIND_SPLIT else (self.p - 1) // 4
 
 
-def build_iv_set(p: int) -> IvSet:
-    """Exact membership scan over F_p.
+def member_blocks(p: int, kind: str) -> Iterator[bytes]:
+    """Initial-value member flags of F_p, SCAN_CHUNK per block: byte i of block j flags 1 + j * SCAN_CHUNK + i.
 
-    A bytearray of square flags is filled from 1 <= x <= (p - 1)/2 (x and
-    p - x share a square).  SCAN_CHUNK flags at a time are read as an int f
-    whose byte i flags start + i, so byte i of f & (f >> 8) or (f >> 8) & ~f
-    says whether start + i is an element.  The table is filled here and
-    nowhere else, so the set stays an independent oracle for the
-    parametrization.
+    Square flags are filled from 1 <= x <= (p - 1)/2 (x and p - x share a square) and read SCAN_CHUNK + 1 at a
+    time as an int f whose byte i flags start + i, so byte i of f & (f >> 8) or (f >> 8) & ~f flags an element;
+    flags from p - 1 on are 0.  The table is filled here and nowhere else, so the set stays an independent oracle.
     """
-    kind = param_kind(p)
-    check_enumerable(p, IV_SET_MAX_P, "the initial-value set")
     squares = bytearray(p)
     for x in range(1, (p + 1) // 2):
         squares[x * x % p] = 1
-    elements: list[int] = []
     for start in range(1, p - 1, SCAN_CHUNK):
         # Split: a and a + 1 are both squares.  Norm one: a + 1 is and a is not.
         f = int.from_bytes(squares[start : start + SCAN_CHUNK + 1], "little")
         test = f & (f >> 8) if kind == KIND_SPLIT else (f >> 8) & ~f
-        elements.extend(compress(range(start, p - 1), test.to_bytes(SCAN_CHUNK, "little")))
+        yield test.to_bytes(SCAN_CHUNK, "little")
+
+
+def build_iv_set(p: int) -> IvSet:
+    """Exact membership scan over F_p: the elements flagged by member_blocks, ascending."""
+    kind = param_kind(p)
+    check_enumerable(p, IV_SET_MAX_P, "the initial-value set")
+    elements: list[int] = []
+    for start, block in zip(range(1, p - 1, SCAN_CHUNK), member_blocks(p, kind)):
+        elements.extend(compress(range(start, p - 1), block))
     return IvSet(p=p, kind=kind, elements=elements)
 
 

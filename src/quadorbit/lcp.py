@@ -20,9 +20,10 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, InvalidFieldError
 from .diagram import cycle_modulus
 from .generator import KIND_LOGISTIC, GeneratorSpec, in_iv_set, logistic_cycle, orbit
+from .numtheory import is_prime
 
 
 def berlekamp_massey_profile(seq: Iterable[int], p: int, n_max: int | None = None) -> list[int]:
@@ -34,6 +35,8 @@ def berlekamp_massey_profile(seq: Iterable[int], p: int, n_max: int | None = Non
     degree never exceeds the current length, which never exceeds n).  The
     update subtracts coef * X^gap * prev in a plain loop.
     """
+    if not is_prime(p):
+        raise InvalidFieldError(f"{p} is not a prime")
     data = [s % p for s in seq]
     if n_max is None:
         n_max = len(data)
@@ -155,6 +158,8 @@ def linear_complexity_via_gcd(cycle: list[int], p: int) -> int:
     t = len(cycle)
     if t == 0:
         raise DomainError("cycle must be nonempty")
+    if not is_prime(p):
+        raise InvalidFieldError(f"{p} is not a prime")
     degree = t
     for degree in _remainder_degrees(cycle[::-1], p, p - 1):
         pass

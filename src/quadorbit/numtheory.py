@@ -147,6 +147,8 @@ def dickson_eval(e: int, x: int, a: int, p: int) -> int:
     """
     if e < 0:
         raise DomainError(f"Dickson degree must be >= 0, got {e}")
+    if p < 2:  # a comparison, not is_prime: lucas_order calls this in its loop
+        raise InvalidFieldError(f"{p} is not a prime")
     x %= p
     a %= p
     if e == 0:
@@ -270,8 +272,7 @@ def mult_order(g: int, n: int, group_order_factorization: dict[int, int] | None 
     Starts from the group order (Euler's totient of n, or any multiple of
     the order supplied by the caller) and divides out prime factors.
     """
-    g %= n
-    if g == 0 or gcd(g, n) != 1:
+    if n < 1 or (g := g % n) == 0 or gcd(g, n) != 1:
         raise InvalidElementError(f"{g} is not invertible mod {n}")
     fact = group_order_factorization
     if fact is None:

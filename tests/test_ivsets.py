@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 from itertools import compress
 
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 import quadorbit
 from quadorbit.diagram import brute_census, census
-from quadorbit.errors import DegenerateParameterError, DomainError, InvalidFieldError
-from quadorbit.generator import logistic_map, logistic_preimages
+from quadorbit.errors import DegenerateParameterError, DomainError, InvalidElementError, InvalidFieldError
+from quadorbit.generator import KIND_LOGISTIC, GeneratorSpec, logistic_map, logistic_preimages, orbit
 from quadorbit.ivsets import (
     KIND_NORM_ONE,
     KIND_SPLIT,
@@ -23,8 +24,8 @@ from quadorbit.ivsets import (
     preimage_signs,
     seed_from_param,
 )
-from quadorbit.lcp import verify_profile_bounds
-from quadorbit.numtheory import fp2_context, legendre, primes_up_to, sqrt_mod
+from quadorbit.lcp import berlekamp_massey_profile, linear_complexity_via_gcd, verify_profile_bounds
+from quadorbit.numtheory import dickson_eval, fp2_context, legendre, mult_order, primes_up_to, sqrt_mod
 
 PRIMES = [p for p in primes_up_to(500) if p > 3]
 PROPERTY_PRIMES = [p for p in primes_up_to(30_000) if p > 3]
@@ -74,6 +75,28 @@ def test_build_iv_set_is_the_same_for_any_scan_block(monkeypatch, chunk):
     monkeypatch.setattr("quadorbit.ivsets.SCAN_CHUNK", chunk)
     for p, elements in expected.items():
         assert build_iv_set(p).elements == elements, p
+
+
+def _walked_census(p):
+    """{period: count} over the Euler-criterion members, each walked by orbit() and deduplicated with a set."""
+    want, half = (1 if p % 4 == 3 else p - 1), (p - 1) // 2
+    seen, counts = set(), Counter()
+    for a in range(1, p - 1):
+        if a not in seen and pow(a, half, p) == want and pow(a + 1, half, p) == 1:
+            walk = orbit(GeneratorSpec(KIND_LOGISTIC, p, a))
+            assert walk.tail == [], (p, a)
+            seen.update(walk.cycle)
+            counts[walk.period] += 1
+    return counts
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+def test_brute_census_is_the_same_for_any_scan_block(monkeypatch, chunk):
+    # Many blocks per prime, so todo crosses every join between blocks and a last block padded past p - 1.
+    expected = {p: _walked_census(p) for p in primes_up_to(700) if p >= 5}
+    monkeypatch.setattr("quadorbit.ivsets.SCAN_CHUNK", chunk)
+    for p, counts in expected.items():
+        assert brute_census(p) == counts, p
 
 
 def test_norm_one_params_match_brute_force():
@@ -393,6 +416,25 @@ def test_entry_points_check_p_before_using_it_as_a_modulus(p):
         with pytest.raises(InvalidFieldError) as raised:
             call()
         assert str(raised.value) == f"{p} {text}"
+
+
+@pytest.mark.parametrize(
+    ("call", "error", "message"),
+    [
+        (lambda: dickson_eval(2, 3, 1, 0), InvalidFieldError, "0 is not a prime"),
+        (lambda: logistic_map(1, 0), InvalidFieldError, "0 is not a prime"),
+        (lambda: mult_order(2, 0), InvalidElementError, "2 is not invertible mod 0"),
+        (lambda: berlekamp_massey_profile([1, 2], 0), InvalidFieldError, "0 is not a prime"),
+        (lambda: linear_complexity_via_gcd([1, 2], 0), InvalidFieldError, "0 is not a prime"),
+        (lambda: linear_complexity_via_gcd([1, 2], 9), InvalidFieldError, "9 is not a prime"),
+    ],
+    ids=["dickson_eval", "logistic_map", "mult_order", "berlekamp_massey_profile", "gcd_route_p0", "gcd_route_p9"],
+)
+def test_modular_routines_refuse_a_bad_modulus_with_a_domain_error(call, error, message):
+    """No ZeroDivisionError at p = 0, and no bare ValueError from pow for a composite p."""
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 def test_iv_set_closed_under_logistic_map():
