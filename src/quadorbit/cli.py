@@ -30,7 +30,6 @@ from .diagram import (
     analogous_two_safe_primes,
     brute_census,
     census,
-    cycle_modulus,
     maximal_branch,
     two_safe_primes,
 )
@@ -281,7 +280,7 @@ def cmd_lcp(args: argparse.Namespace) -> int:
         )
     prof = profile_for_seed(p, seed, args.n_max)
     t = prof.period
-    m = cycle_modulus(p)
+    m = _modulus_of(p)  # predict_orbit checked p
     l_s = prof.linear_complexity
     pairs: list[tuple[str, object]] = [
         ("p", p),

@@ -16,10 +16,9 @@ from itertools import compress
 from math import lcm
 from typing import NamedTuple
 
-from .errors import InvalidFieldError
 from .generator import logistic_cycle
 from .ivsets import check_enumerable, member_blocks, param_kind
-from .numtheory import factorize, is_prime, mult_order, prime_flags
+from .numtheory import check_prime, factorize, is_prime, mult_order, prime_flags
 
 
 # Largest p brute_census walks; like the IV set it is built from, `census
@@ -34,9 +33,7 @@ def _modulus_of(p: int) -> int:
 
 def cycle_modulus(p: int) -> int:
     """_modulus_of(p), once p is checked to be a prime > 3."""
-    if p <= 3 or not is_prime(p):
-        raise InvalidFieldError(f"{p} is not a prime > 3")
-    return _modulus_of(p)
+    return _modulus_of(check_prime(p, 5))
 
 
 class CensusRow(NamedTuple):

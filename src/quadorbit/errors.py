@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class InvalidFieldError(DomainError):
-    """The modulus does not define a valid prime field (p not an odd prime)."""
+    """p is not the prime needed (numtheory.check_prime): "p is not a prime", "an odd prime" or "a prime > 3"."""
 
 
 class InvalidElementError(DomainError):

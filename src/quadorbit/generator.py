@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import BudgetExceededError, DomainError, InvalidFieldError
-from .numtheory import dickson_eval, factorize, is_prime, legendre, order_up_to_sign, split_two_power, sqrt_mod
+from .errors import BudgetExceededError, DomainError, InvalidElementError, InvalidFieldError
+from .numtheory import check_prime, dickson_eval, factorize, legendre, order_up_to_sign, split_two_power, sqrt_mod
 
 KIND_LOGISTIC = "logistic"
 KIND_DICKSON = "dickson2"
@@ -52,8 +52,7 @@ class GeneratorSpec(_SpecFields):
     def __new__(cls, kind: str, p: int, seed: int, mu: int | None = None) -> GeneratorSpec:
         if kind not in _KINDS:
             raise DomainError(f"unknown generator kind {kind!r}")
-        if not is_prime(p) or p == 2:
-            raise InvalidFieldError(f"{p} is not an odd prime")
+        check_prime(p, 3)
         if kind != KIND_DICKSON and p <= 3:
             raise DomainError(f"logistic kinds need p > 3, got p={p}")
         if kind == KIND_LOGISTIC_GENERAL:
@@ -131,12 +130,14 @@ def logistic_cycle(seed: int, p: int) -> list[int]:
 
 
 def logistic_preimages(a: int, p: int) -> tuple[int, ...]:
-    """All x with 4x(x+1) = a mod p, sorted; solved via (2x+1)^2 = a + 1 (legendre checks p before any % p)."""
-    sign, inv2 = legendre(a + 1, p), (p + 1) // 2
-    if sign < 1:
-        return ((p - 1) // 2,) if sign == 0 else ()
-    r = sqrt_mod(a + 1, p)
-    return tuple(sorted(((r - 1) * inv2 % p, (-r - 1) * inv2 % p)))
+    """All x with 4x(x+1) = a mod p, sorted; solved via (2x+1)^2 = a + 1 (sqrt_mod checks p before any % p).
+    A root r = 0 (a + 1 = 0 mod p) gives the one x = (p - 1)/2."""
+    try:
+        r = sqrt_mod(a + 1, p)
+    except InvalidElementError:  # a + 1 is a non-residue
+        return ()
+    inv2 = (p + 1) // 2
+    return tuple(sorted({(r - 1) * inv2 % p, (-r - 1) * inv2 % p}))
 
 
 class OrbitPrediction(NamedTuple):
@@ -169,9 +170,7 @@ def lucas_order(u: int, p: int) -> int:
 
 def in_iv_set(a: int, p: int) -> bool:
     """Membership test for the initial-value set of F_p, p a prime > 3."""
-    if not is_prime(p) or p <= 3:
-        raise InvalidFieldError(f"{p} is not a prime > 3")
-    sign = 1 if p % 4 == 3 else -1
+    sign = 1 if check_prime(p, 5) % 4 == 3 else -1
     a %= p
     return legendre(a, p) == sign and legendre(a + 1, p) == 1
 
@@ -189,8 +188,7 @@ def predict_orbit(p: int, seed: int, seed_class: str = "iv_set") -> OrbitPredict
     t' + 1/t' = 2 * sqrt(a + 1) (Vasiga-Shallit); both parameter groups have
     order 2 * odd, so e = 0 and m, the odd part of ord(t'), is at least 3.
     """
-    if not is_prime(p) or p <= 3:
-        raise InvalidFieldError(f"{p} is not a prime > 3")
+    check_prime(p, 5)
     seed %= p
     if seed_class not in ("iv_set", "any"):
         raise DomainError(f"unknown seed class {seed_class!r}")

@@ -15,9 +15,9 @@ from array import array
 from itertools import compress
 from typing import Iterator, NamedTuple
 
-from .errors import DegenerateParameterError, DomainError, InvalidFieldError
+from .errors import DegenerateParameterError, DomainError
 from .generator import in_iv_set, logistic_map, logistic_preimages
-from .numtheory import Fp2Element, fp2_context, is_prime, legendre, sqrt_mod
+from .numtheory import Fp2Element, check_prime, fp2_context, legendre, sqrt_mod
 
 KIND_SPLIT = "split"
 KIND_NORM_ONE = "norm_one"
@@ -44,9 +44,7 @@ def check_enumerable(p: int, limit: int, what: str) -> None:
 
 def param_kind(p: int) -> str:
     """Which parameter space F_p uses: split for p = 3 mod 4, norm_one else."""
-    if not is_prime(p) or p <= 3:
-        raise InvalidFieldError(f"{p} is not a prime > 3")
-    return KIND_SPLIT if p % 4 == 3 else KIND_NORM_ONE
+    return KIND_SPLIT if check_prime(p, 5) % 4 == 3 else KIND_NORM_ONE
 
 
 class IvSet(NamedTuple):

@@ -20,10 +20,10 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DomainError, InvalidFieldError
-from .diagram import cycle_modulus
+from .errors import DomainError
+from .diagram import _modulus_of
 from .generator import KIND_LOGISTIC, GeneratorSpec, in_iv_set, logistic_cycle, orbit
-from .numtheory import is_prime
+from .numtheory import check_prime
 
 
 def berlekamp_massey_profile(seq: Iterable[int], p: int, n_max: int | None = None) -> list[int]:
@@ -35,8 +35,7 @@ def berlekamp_massey_profile(seq: Iterable[int], p: int, n_max: int | None = Non
     degree never exceeds the current length, which never exceeds n).  The
     update subtracts coef * X^gap * prev in a plain loop.
     """
-    if not is_prime(p):
-        raise InvalidFieldError(f"{p} is not a prime")
+    check_prime(p)
     data = [s % p for s in seq]
     if n_max is None:
         n_max = len(data)
@@ -158,8 +157,7 @@ def linear_complexity_via_gcd(cycle: list[int], p: int) -> int:
     t = len(cycle)
     if t == 0:
         raise DomainError("cycle must be nonempty")
-    if not is_prime(p):
-        raise InvalidFieldError(f"{p} is not a prime")
+    check_prime(p)
     degree = t
     for degree in _remainder_degrees(cycle[::-1], p, p - 1):
         pass
@@ -202,7 +200,7 @@ class _Cycle:
     def __init__(self, p: int, states: tuple[int, ...]) -> None:
         self.p, self.states = p, states
         self.index = {s: i for i, s in enumerate(states)}
-        self.l_s, self.m, self.verdicts = _cycle_complexity_cached(p, states), cycle_modulus(p), {}
+        self.l_s, self.m, self.verdicts = _cycle_complexity_cached(p, states), _modulus_of(p), {}
         self.wall_depth, self.zeros, self.prefix_work = 0, {}, 0
 
 

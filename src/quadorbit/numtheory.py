@@ -73,6 +73,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_prime(p: int, least: int = 2) -> int:
+    """p, once it is a prime >= least: any prime (2), an odd one (3) or one > 3 (5); else InvalidFieldError."""
+    if p < least or not is_prime(p):
+        raise InvalidFieldError(f"{p} is not " + {2: "a prime", 3: "an odd prime", 5: "a prime > 3"}[least])
+    return p
+
+
 def prime_flags(n: int) -> bytearray:
     """Sieve of Eratosthenes: flags[i] is 1 exactly when i <= n is prime."""
     if n < 2:
@@ -119,8 +126,7 @@ def legendre(a: int, p: int) -> int:
     Computed by the quadratic-reciprocity (Jacobi) iteration rather than by
     Euler's criterion; the criterion is kept as a test oracle only.
     """
-    if p == 2 or not is_prime(p):
-        raise InvalidFieldError(f"{p} is not an odd prime")
+    check_prime(p, 3)
     a %= p
     if a == 0:
         return 0
@@ -369,8 +375,7 @@ def fp2_context(p: int) -> Fp2Context:
     The non-residue is the smallest positive one, so representations (and
     any tables printed from them) are reproducible across runs.
     """
-    if p == 2 or not is_prime(p):
-        raise InvalidFieldError(f"{p} is not an odd prime")
+    check_prime(p, 3)
     ns = 2
     while legendre(ns, p) != -1:
         ns += 1

@@ -8,9 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quadorbit
-from quadorbit.diagram import brute_census, census
+from quadorbit.diagram import brute_census, census, cycle_modulus
 from quadorbit.errors import DegenerateParameterError, DomainError, InvalidElementError, InvalidFieldError
-from quadorbit.generator import KIND_LOGISTIC, GeneratorSpec, logistic_map, logistic_preimages, orbit
+from quadorbit.generator import (
+    KIND_DICKSON,
+    KIND_LOGISTIC,
+    GeneratorSpec,
+    logistic_map,
+    logistic_preimages,
+    orbit,
+    predict_orbit,
+)
 from quadorbit.ivsets import (
     KIND_NORM_ONE,
     KIND_SPLIT,
@@ -399,23 +407,40 @@ def test_preimage_signs_split_and_product_law():
         preimage_signs(5, 23)
 
 
-@pytest.mark.parametrize("p", [0, 1, 9, -7])
+# numtheory.check_prime's refusal for each least it takes.
+REFUSALS = {2: "is not a prime", 3: "is not an odd prime", 5: "is not a prime > 3"}
+
+
+@pytest.mark.parametrize("p", [-7, 0, 1, 2, 3, 4, 9])
 def test_entry_points_check_p_before_using_it_as_a_modulus(p):
-    """Each call raises the InvalidFieldError it raises for p = 9, with p in place of 9: no ZeroDivisionError at
-    p = 0, and no answer for a non-prime p from an a = 0 mod p or a + 1 = 0 mod p shortcut."""
+    """Each call accepts a prime p >= its least and refuses every other p with the InvalidFieldError of that least,
+    before p is a modulus: no ZeroDivisionError at p = 0, and no answer for a non-prime p from an a = 0 mod p or
+    a + 1 = 0 mod p shortcut.  p = 2 and p = 3, the primes tried, sit on the boundaries between the wordings."""
     calls = [
-        (lambda: verify_profile_bounds(p, 1), "is not a prime > 3"),
-        (lambda: canonical_param(1, p), "is not a prime > 3"),
-        (lambda: preimage_signs(1, p), "is not a prime > 3"),
-        (lambda: sqrt_mod(1, p), "is not an odd prime"),
-        (lambda: sqrt_mod(p, p), "is not an odd prime"),
-        (lambda: logistic_preimages(1, p), "is not an odd prime"),
-        (lambda: logistic_preimages(p - 1, p), "is not an odd prime"),
+        (2, lambda: berlekamp_massey_profile([1, 2], p)),
+        (2, lambda: linear_complexity_via_gcd([1, 2], p)),
+        (3, lambda: legendre(3, p)),
+        (3, lambda: fp2_context(p)),
+        (3, lambda: GeneratorSpec(KIND_DICKSON, p, 1)),
+        (3, lambda: sqrt_mod(1, p)),
+        (3, lambda: sqrt_mod(p, p)),
+        (3, lambda: logistic_preimages(1, p)),
+        (3, lambda: logistic_preimages(p - 1, p)),
+        (5, lambda: in_iv_set(1, p)),
+        (5, lambda: predict_orbit(p, 1)),
+        (5, lambda: cycle_modulus(p)),
+        (5, lambda: param_kind(p)),
+        (5, lambda: verify_profile_bounds(p, 1)),
+        (5, lambda: canonical_param(1, p)),
+        (5, lambda: preimage_signs(1, p)),
     ]
-    for call, text in calls:
+    for least, call in calls:
+        if p in (2, 3) and p >= least:
+            call()  # raises no InvalidFieldError
+            continue
         with pytest.raises(InvalidFieldError) as raised:
             call()
-        assert str(raised.value) == f"{p} {text}"
+        assert str(raised.value) == f"{p} {REFUSALS[least]}"
 
 
 @pytest.mark.parametrize(
