@@ -52,9 +52,7 @@ class GeneratorSpec(_SpecFields):
     def __new__(cls, kind: str, p: int, seed: int, mu: int | None = None) -> GeneratorSpec:
         if kind not in _KINDS:
             raise DomainError(f"unknown generator kind {kind!r}")
-        check_prime(p, 3)
-        if kind != KIND_DICKSON and p <= 3:
-            raise DomainError(f"logistic kinds need p > 3, got p={p}")
+        check_prime(p, 3 if kind == KIND_DICKSON else 5)
         if kind == KIND_LOGISTIC_GENERAL:
             if mu is None or mu % p == 0:
                 raise DomainError("logistic_general needs a nonzero control parameter mu")

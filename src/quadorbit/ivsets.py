@@ -64,7 +64,8 @@ def member_blocks(p: int, kind: str) -> Iterator[bytes]:
 
     Square flags are filled from 1 <= x <= (p - 1)/2 (x and p - x share a square) and read SCAN_CHUNK + 1 at a
     time as an int f whose byte i flags start + i, so byte i of f & (f >> 8) or (f >> 8) & ~f flags an element;
-    flags from p - 1 on are 0.  The table is filled here and nowhere else, so the set stays an independent oracle.
+    flags from p - 1 on are 0.  The table is filled here and nowhere else, so the set stays an independent oracle;
+    build_iv_set, fiber_table and diagram.brute_census read their members off these blocks.
     """
     squares = bytearray(p)
     for x in range(1, (p + 1) // 2):
@@ -93,6 +94,8 @@ def seed_from_param(t: int | Fp2Element, p: int | None = None) -> int:
     context, and t = c0 + c1*alpha of norm one has 1/t = c0 - c1*alpha, so its image is ns*c1^2 (as in fiber_table).
     """
     if isinstance(t, Fp2Element):
+        if param_kind(t.ctx.p) != KIND_NORM_ONE:
+            raise DomainError(f"Fp2Element parameters are norm-one ones, which need p = 1 mod 4, got p={t.ctx.p}")
         if t.norm() != 1:
             raise DomainError(f"parameter {t} does not have norm 1")
         if t.c1 == 0:
@@ -117,19 +120,16 @@ def fiber_table(p: int) -> list[tuple[int, list[int]]]:
     lo < hi are |s - r| and min(s + r, p - s - r), both below p/2.  Norm one: t = c0 + c1*alpha of
     norm c0^2 - ns*c1^2 = 1 has 1/t = c0 - c1*alpha, so (t - 1/t)/2 = c1*alpha squares to ns*c1^2 = a
     and c0^2 = a + 1.  The fiber is c0, c1, c0, p - c1, p - c0, c1, p - c0, p - c1, flat in (c0, c1)
-    order.  r, s, c0 and c1, the roots below p/2, come from one table roots[x*x % p] = x, whose
-    nonzero entries, compared bytewise, list the elements: no forward map, no binning and no sort.
+    order.  r, s, c0 and c1, the roots below p/2, come from one table roots[x*x % p] = x, and the
+    elements from member_blocks, as for build_iv_set: no forward map, no binning and no sort.
     """
     kind = param_kind(p)
     check_enumerable(p, FIBERS_MAX_P, "the parameter fibers")
     roots = array("I", [0]) * p
     for x in range(1, (p + 1) // 2):
         roots[x * x % p] = x
-    squares = int.from_bytes(bytes(map(bool, roots)), "little")
-    # Byte a is 1 when a + 1 is a square and a is one too (split) or is not (norm one); byte 0 is a = 0.
-    members = ((squares >> 8) & (squares if kind == KIND_SPLIT else ~squares)).to_bytes(p - 1, "little")
-    del squares
-    elements = compress(range(1, p - 1), memoryview(members)[1:])
+    # Byte i of the joined blocks flags element 1 + i; flags from p - 1 on are 0.
+    elements = compress(range(1, p - 1), b"".join(member_blocks(p, kind)))
     table = []
     collecting = gc.isenabled()
     gc.disable()  # the table holds only ints and lists of ints: the cyclic collector would only rescan it

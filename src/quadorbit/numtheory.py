@@ -267,7 +267,7 @@ def factorize(n: int) -> dict[int, int]:
 def euler_phi(n: int) -> int:
     """Euler's totient of n >= 1."""
     phi = 1
-    for prime, exp in _factorize(n):
+    for prime, exp in factorize(n).items():
         phi *= prime ** (exp - 1) * (prime - 1)
     return phi
 

@@ -13,6 +13,7 @@ from quadorbit.errors import DegenerateParameterError, DomainError, InvalidEleme
 from quadorbit.generator import (
     KIND_DICKSON,
     KIND_LOGISTIC,
+    KIND_LOGISTIC_GENERAL,
     GeneratorSpec,
     logistic_map,
     logistic_preimages,
@@ -33,7 +34,7 @@ from quadorbit.ivsets import (
     seed_from_param,
 )
 from quadorbit.lcp import berlekamp_massey_profile, linear_complexity_via_gcd, verify_profile_bounds
-from quadorbit.numtheory import dickson_eval, fp2_context, legendre, mult_order, primes_up_to, sqrt_mod
+from quadorbit.numtheory import Fp2Context, dickson_eval, fp2_context, legendre, mult_order, primes_up_to, sqrt_mod
 
 PRIMES = [p for p in primes_up_to(500) if p > 3]
 PROPERTY_PRIMES = [p for p in primes_up_to(30_000) if p > 3]
@@ -66,14 +67,16 @@ def test_build_iv_set_examples():
     assert build_iv_set(5).elements == [3]
 
 
+def _euler_members(p):
+    """The initial-value elements by Euler's criterion: a + 1 is a square, and a is one (p = 3 mod 4) or is not."""
+    want, half = (1 if p % 4 == 3 else p - 1), (p - 1) // 2
+    return [a for a in range(1, p - 1) if pow(a, half, p) == want and pow(a + 1, half, p) == 1]
+
+
 def test_build_iv_set_matches_euler_criterion():
     for p in primes_up_to(2000):
-        if p < 5:
-            continue
-        want = 1 if p % 4 == 3 else p - 1
-        half = (p - 1) // 2
-        expected = [a for a in range(1, p - 1) if pow(a, half, p) == want and pow(a + 1, half, p) == 1]
-        assert build_iv_set(p).elements == expected, p
+        if p >= 5:
+            assert build_iv_set(p).elements == _euler_members(p), p
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
@@ -87,10 +90,9 @@ def test_build_iv_set_is_the_same_for_any_scan_block(monkeypatch, chunk):
 
 def _walked_census(p):
     """{period: count} over the Euler-criterion members, each walked by orbit() and deduplicated with a set."""
-    want, half = (1 if p % 4 == 3 else p - 1), (p - 1) // 2
     seen, counts = set(), Counter()
-    for a in range(1, p - 1):
-        if a not in seen and pow(a, half, p) == want and pow(a + 1, half, p) == 1:
+    for a in _euler_members(p):
+        if a not in seen:
             walk = orbit(GeneratorSpec(KIND_LOGISTIC, p, a))
             assert walk.tail == [], (p, a)
             seen.update(walk.cycle)
@@ -141,6 +143,24 @@ def _scanned_fibers(p):
     for t in sorted(params, key=lambda t: (t.c0, t.c1)):
         fibers.setdefault(seed_from_param(t), []).append((t.c0, t.c1))
     return fibers
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+def test_fiber_table_is_the_same_for_any_scan_block(monkeypatch, chunk):
+    # fiber_table joins the member blocks, so a misaligned join or a lost block would move or drop its keys.
+    expected = {p: _scanned_fibers(p) for p in primes_up_to(700) if p >= 5}
+    monkeypatch.setattr("quadorbit.ivsets.SCAN_CHUNK", chunk)
+    for p, scanned in expected.items():
+        table = fiber_table(p)
+        assert [a for a, _ in table] == _euler_members(p), p
+        fibers = dict(table) if param_kind(p) == KIND_SPLIT else {a: list(zip(f[::2], f[1::2])) for a, f in table}
+        assert fibers == scanned, p
+
+
+def test_fiber_table_keys_cross_the_default_block_edge():
+    # The largest split and norm-one primes below 2^17 each span two default blocks.
+    for p in (max(q for q in WIDE_PRIMES if q % 4 == 3), max(q for q in WIDE_PRIMES if q % 4 == 1)):
+        assert [a for a, _ in fiber_table(p)] == _euler_members(p), p
 
 
 def test_fiber_table_matches_a_per_parameter_scan():
@@ -274,6 +294,20 @@ def test_seed_from_param_degenerate():
     for t in (2, 3):
         with pytest.raises(InvalidFieldError):
             seed_from_param(t, 9)
+
+
+def test_seed_from_param_refuses_extension_parameters_outside_norm_one_fields():
+    # For p = 3 mod 4 the parameters are split ints: every norm-one extension element would map outside the set.
+    for p in (7, 11, 19, 23):
+        ctx = fp2_context(p)
+        params = [(c0, c1) for c0 in range(p) for c1 in range(1, p) if (c0 * c0 - ctx.non_residue * c1 * c1) % p == 1]
+        assert len(params) == p - 1  # the norm-one group has p + 1 elements, two of them +-1
+        for c0, c1 in params:
+            with pytest.raises(DomainError) as raised:
+                seed_from_param(ctx.elem(c0, c1))
+            assert str(raised.value) == f"Fp2Element parameters are norm-one ones, which need p = 1 mod 4, got p={p}"
+    with pytest.raises(InvalidFieldError, match="15 is not a prime > 3"):
+        seed_from_param(Fp2Context(15, 2).elem(4, 0))
 
 
 def test_param_fibers_reproduce_tables():
@@ -422,6 +456,8 @@ def test_entry_points_check_p_before_using_it_as_a_modulus(p):
         (3, lambda: legendre(3, p)),
         (3, lambda: fp2_context(p)),
         (3, lambda: GeneratorSpec(KIND_DICKSON, p, 1)),
+        (5, lambda: GeneratorSpec(KIND_LOGISTIC, p, 1)),
+        (5, lambda: GeneratorSpec(KIND_LOGISTIC_GENERAL, p, 1, 3)),
         (3, lambda: sqrt_mod(1, p)),
         (3, lambda: sqrt_mod(p, p)),
         (3, lambda: logistic_preimages(1, p)),

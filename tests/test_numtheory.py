@@ -128,6 +128,9 @@ def test_euler_phi():
     assert euler_phi(1) == 1
     for n in range(1, 500):
         assert euler_phi(n) == sum(1 for k in range(1, n + 1) if _gcd(k, n) == 1)
+    for n in (0, -5):
+        with pytest.raises(InvalidElementError, match=f"cannot factorize {n}"):
+            euler_phi(n)
 
 
 def _gcd(a, b):
